@@ -23,7 +23,6 @@ from qsysid import (
     e_map,
     horizontal_projection,
     lie_pushforward,
-    stationary_state,
     two_level,
     two_level_tangents,
     vertical_basis,
@@ -31,13 +30,12 @@ from qsysid import (
 
 p = TwoLevelParams(alpha=1.0, delta=0.0, omega=1.0, theta=0.0)
 D = two_level(p)
-rep = stationary_state(D)
 tans = two_level_tangents(p)
 
 print("gauge components omega(dD) = (K, r) of the physical directions:\n")
 for name, dD in zip(("Delta", "Omega", "alpha", "theta"), tans.physical):
-    om = connection_form(D, dD, report=rep)
-    proj = horizontal_projection(D, dD, report=rep)
+    om = connection_form(D, dD)
+    proj = horizontal_projection(D, dD)
     recomposed = proj + lie_pushforward(D, om)
     print(f"direction {name}:")
     print(f"  r = {om.r:+.6f},  ||K|| = {np.linalg.norm(om.k):.6f}")
@@ -46,7 +44,7 @@ for name, dD in zip(("Delta", "Omega", "alpha", "theta"), tans.physical):
 
 print("\nthe alpha direction is already identifiable: omega(dD_alpha) = 0")
 
-vert = vertical_basis(D, report=rep)
-residuals = [horizontal_projection(D, v, report=rep).norm() for v in vert]
+vert = vertical_basis(D)
+residuals = [horizontal_projection(D, v).norm() for v in vert]
 print(f"\ngauge directions at this point: {len(vert)} (= d^2)")
 print(f"max |P(vertical)| over the basis: {max(residuals):.2e}")

@@ -29,7 +29,7 @@ D = two_level(p)
 rep = stationary_state(D)
 gap = rep.spectral_gap
 
-dirs = [horizontal_projection(D, t, report=rep) for t in two_level_tangents(p).physical]
+dirs = [horizontal_projection(D, t) for t in two_level_tangents(p).physical]
 chart = LocalChart(D, dirs)
 
 u = np.array([1.0, 0.0, 0.0, 0.0])   # one unit along the (projected) Delta direction

@@ -31,11 +31,11 @@ gap = rep.spectral_gap
 rng = np.random.default_rng(7)
 dH = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
 raw = TangentVector(0.5 * (dH + dH.conj().T), [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))])
-proj = horizontal_projection(D, raw, report=rep)
+proj = horizontal_projection(D, raw)
 X = x_map(D, proj)
-X = OperatorTuple(centering(D, X.x0, report=rep), X.xs)
+X = OperatorTuple(centering(D, X.x0), X.xs)
 
-limit = markov_covariance(D, X, X, report=rep)
+limit = markov_covariance(D, X, X)
 print(f"limit covariance of a random identifiable tuple: {limit.real:.8f}")
 
 print(f"\n  {'t*gap':>6}  {'finite-t value':>15}  {'error':>10}  {'t * error':>10}")
@@ -43,7 +43,7 @@ errs = []
 ts = (25, 50, 100, 200)
 for tg in ts:
     t = tg / gap
-    val = finite_time_covariance(D, X, X, t, quad_steps=400, report=rep)
+    val = finite_time_covariance(D, X, X, t, quad_steps=400)
     err = abs(val - limit)
     errs.append(err)
     print(f"  {tg:6d}  {val.real:15.8f}  {err:10.2e}  {err * tg:10.4f}")
@@ -55,5 +55,5 @@ print("\nthe limit does not depend on the initial system vector:")
 t = 200 / gap
 for k in range(3):
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    val = finite_time_covariance(D, X, X, t, quad_steps=400, phi=phi, report=rep)
+    val = finite_time_covariance(D, X, X, t, quad_steps=400, phi=phi)
     print(f"  random phi #{k}: {val.real:.8f}")

@@ -51,6 +51,7 @@ from .covariance import (
     qfi_rate,
     r_projection,
     tangent_covariance,
+    tangent_gram,
     x_map,
 )
 from .gaussian import (

@@ -223,6 +223,16 @@ def job_to_dict(job: JobConfig) -> dict:
 # model/tangent realisation
 # ---------------------------------------------------------------------------
 
+def _two_level_params(params: dict) -> _models.TwoLevelParams:
+    return _models.TwoLevelParams(
+        alpha=float(params.get("alpha", 1.0)),
+        delta=float(params.get("delta", 0.0)),
+        omega=float(params.get("omega", 1.0)),
+        theta=float(params.get("theta", 0.0)),
+        v=tuple(params.get("v", (0.0, 0.0, 0.0))),
+    )
+
+
 def _realise_model(source: dict, where: str) -> DynamicalParams:
     if "matrices" in source:
         h = decode_matrix(source["matrices"]["h"], f"{where}.matrices.h")
@@ -231,14 +241,7 @@ def _realise_model(source: dict, where: str) -> DynamicalParams:
     name = source["preset"]
     params = source["params"]
     if name == "two-level":
-        p = _models.TwoLevelParams(
-            alpha=float(params.get("alpha", 1.0)),
-            delta=float(params.get("delta", 0.0)),
-            omega=float(params.get("omega", 1.0)),
-            theta=float(params.get("theta", 0.0)),
-            v=tuple(params.get("v", (0.0, 0.0, 0.0))),
-        )
-        return _models.two_level(p)
+        return _models.two_level(_two_level_params(params))
     # one-parameter presets need a base (h, l)
     if "h" not in params or "l" not in params:
         raise ConfigError(f"{where}.params: preset {name!r} needs base matrices 'h' and 'l'")
@@ -264,13 +267,7 @@ def _realise_tangents(job: JobConfig, D: DynamicalParams):
             raise ConfigError(
                 "tangents: named tangent sets require v = 0; pass explicit tangents"
             )
-        p = _models.TwoLevelParams(
-            alpha=float(job.model["params"].get("alpha", 1.0)),
-            delta=float(job.model["params"].get("delta", 0.0)),
-            omega=float(job.model["params"].get("omega", 1.0)),
-            theta=float(job.model["params"].get("theta", 0.0)),
-        )
-        tans = _models.two_level_tangents(p)
+        tans = _models.two_level_tangents(_two_level_params(job.model["params"]))
         group = getattr(tans, job.tangents)
         labels = {
             "physical": ["delta", "omega", "alpha", "theta"],
@@ -339,13 +336,12 @@ def run(job: JobConfig) -> dict:
 
     elif job.command in ("decompose", "connection"):
         tangents, labels = _realise_tangents(job, D)
-        rep = require_ergodic(D)
         entries = []
         for label, dD in zip(labels, tangents):
-            om = connection_form(D, dD, report=rep)
+            om = connection_form(D, dD)
             entry = {"label": label, "k": encode_matrix(om.k), "r": om.r}
             if job.command == "decompose":
-                hor = horizontal_projection(D, dD, report=rep)
+                hor = horizontal_projection(D, dD)
                 entry["horizontal"] = _tangent_to_json(hor)
                 entry["residual_e_norm"] = float(np.max(np.abs(e_map(D, hor))))
             entries.append(entry)
@@ -359,13 +355,7 @@ def run(job: JobConfig) -> dict:
             and job.model.get("preset") == "two-level"
         ):
             # default spanning set: the canonical basis of the physical span
-            p = _models.TwoLevelParams(
-                alpha=float(job.model["params"].get("alpha", 1.0)),
-                delta=float(job.model["params"].get("delta", 0.0)),
-                omega=float(job.model["params"].get("omega", 1.0)),
-                theta=float(job.model["params"].get("theta", 0.0)),
-            )
-            tangents = _models.two_level_symplectic_basis(p)
+            tangents = _models.two_level_symplectic_basis(_two_level_params(job.model["params"]))
             labels = ["q1", "p1", "q2", "p2"]
         convention = opts.get("convention", "metric")
         model = symplectic_basis(
@@ -384,7 +374,7 @@ def run(job: JobConfig) -> dict:
     elif job.command == "lan-check":
         tangents, labels = _realise_tangents(job, D)
         rep = require_ergodic(D)
-        dirs = [horizontal_projection(D, dD, report=rep) for dD in tangents]
+        dirs = [horizontal_projection(D, dD) for dD in tangents]
         chart = LocalChart(D, dirs)
         m = chart.n_params
         u = np.asarray(opts.get("u", [1.0] + [0.0] * (m - 1)), dtype=float)
@@ -427,10 +417,10 @@ def run(job: JobConfig) -> dict:
             raw = x_map(D, dD)
             # the fluctuation integral is defined with the centred first
             # component, and centring leaves the limit covariance unchanged
-            X = OperatorTuple(centering(D, raw.x0, report=rep), raw.xs)
-            limit = markov_covariance(D, X, X, report=rep)
+            X = OperatorTuple(centering(D, raw.x0), raw.xs)
+            limit = markov_covariance(D, X, X)
             finites = [
-                finite_time_covariance(D, X, X, t, int(opts["quad_steps"]), report=rep)
+                finite_time_covariance(D, X, X, t, int(opts["quad_steps"]))
                 for t in t_values
             ]
             series.append(

@@ -33,14 +33,8 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import TangentVector, e_map
-from .lindblad import (
-    DynamicalParams,
-    ErgodicityReport,
-    _restricted_inverse_mat,
-    heisenberg_generator,
-    require_ergodic,
-)
-from .opspace import Superoperator, dag, devectorize, vectorize
+from .lindblad import DynamicalParams, heisenberg_generator, require_ergodic, restricted_inverse
+from .opspace import dag, devectorize, vectorize
 
 CONVENTIONS = ("four_x", "metric")
 
@@ -89,11 +83,10 @@ class QfiMatrix:
     convention: str
 
 
-def centering(D: DynamicalParams, X0, *, report: ErgodicityReport | None = None) -> np.ndarray:
+def centering(D: DynamicalParams, X0) -> np.ndarray:
     """C(X) = X - tr[rho_ss X] id."""
-    rep = report if report is not None else require_ergodic(D)
     X0 = np.asarray(X0, dtype=complex)
-    return X0 - np.trace(rep.stationary @ X0) * np.eye(D.dim)
+    return X0 - np.trace(require_ergodic(D).stationary @ X0) * np.eye(D.dim)
 
 
 def x_map(D: DynamicalParams, dD: TangentVector) -> OperatorTuple:
@@ -108,49 +101,26 @@ def l_map(D: DynamicalParams, K) -> OperatorTuple:
     return OperatorTuple(W(K), tuple(1j * (L @ K - K @ L) for L in D.ls))
 
 
-def _z_of(W: Superoperator, rho: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    X0c = X0 - np.trace(rho @ X0) * np.eye(d)
-    return _restricted_inverse_mat(W, rho, X0c)
-
-
-def r_projection(
-    D: DynamicalParams, X: OperatorTuple, *, report: ErgodicityReport | None = None
-) -> OperatorTuple:
+def r_projection(D: DynamicalParams, X: OperatorTuple) -> OperatorTuple:
     """The projection R onto tuples of the form (0, Y^1, ..., Y^k)."""
-    rep = report if report is not None else require_ergodic(D)
-    rho = rep.stationary
-    W = heisenberg_generator(D)
-    Z = _z_of(W, rho, X.x0)
-    x0c = X.x0 - np.trace(rho @ X.x0) * np.eye(D.dim)
+    W = require_ergodic(D).generator
+    x0c = centering(D, X.x0)
+    Z = restricted_inverse(D, x0c)
     return OperatorTuple(
         x0c - W(Z),
         tuple(Xi - 1j * (L @ Z - Z @ L) for Xi, L in zip(X.xs, D.ls)),
     )
 
 
-def markov_covariance(
-    D: DynamicalParams,
-    X: OperatorTuple,
-    Y: OperatorTuple,
-    *,
-    report: ErgodicityReport | None = None,
-) -> complex:
+def markov_covariance(D: DynamicalParams, X: OperatorTuple, Y: OperatorTuple) -> complex:
     """The limit covariance (X, Y) = sum_i tr[rho_ss R(X)^i* R(Y)^i]."""
-    rep = report if report is not None else require_ergodic(D)
-    rho = rep.stationary
-    RX = r_projection(D, X, report=rep)
-    RY = r_projection(D, Y, report=rep)
+    rho = require_ergodic(D).stationary
+    RX = r_projection(D, X)
+    RY = r_projection(D, Y)
     return complex(sum(np.trace(rho @ dag(Xi) @ Yi) for Xi, Yi in zip(RX.xs, RY.xs)))
 
 
-def markov_covariance_expanded(
-    D: DynamicalParams,
-    X: OperatorTuple,
-    Y: OperatorTuple,
-    *,
-    report: ErgodicityReport | None = None,
-) -> complex:
+def markov_covariance_expanded(D: DynamicalParams, X: OperatorTuple, Y: OperatorTuple) -> complex:
     """Second route to the covariance, from the Ito expansion before the
     dissipation identity is applied:
 
@@ -159,14 +129,10 @@ def markov_covariance_expanded(
 
     with X^0, Y^0 replaced by their centred versions.
     """
-    rep = report if report is not None else require_ergodic(D)
-    rho = rep.stationary
-    W = heisenberg_generator(D)
-    d = D.dim
-    x0c = X.x0 - np.trace(rho @ X.x0) * np.eye(d)
-    y0c = Y.x0 - np.trace(rho @ Y.x0) * np.eye(d)
-    Zy = _restricted_inverse_mat(W, rho, y0c)
-    Zxd = _restricted_inverse_mat(W, rho, dag(x0c))
+    rho = require_ergodic(D).stationary
+    x0c = centering(D, X.x0)
+    y0c = centering(D, Y.x0)
+    Zy, Zxd = restricted_inverse(D, np.stack([y0c, dag(x0c)]))
     acc = -dag(x0c) @ Zy - Zxd @ y0c
     for Xi, Yi, L in zip(X.xs, Y.xs, D.ls):
         acc = acc + dag(Xi) @ Yi
@@ -175,24 +141,35 @@ def markov_covariance_expanded(
     return complex(np.trace(rho @ acc))
 
 
-def tangent_covariance(
-    D: DynamicalParams,
-    dDa: TangentVector,
-    dDb: TangentVector,
-    *,
-    report: ErgodicityReport | None = None,
-) -> complex:
+def tangent_covariance(D: DynamicalParams, dDa: TangentVector, dDb: TangentVector) -> complex:
     """Covariance pulled back to tangent vectors via x_map."""
-    return markov_covariance(D, x_map(D, dDa), x_map(D, dDb), report=report)
+    return markov_covariance(D, x_map(D, dDa), x_map(D, dDb))
 
 
-def qfi_rate(
-    D: DynamicalParams,
-    tangents,
-    convention: str,
-    *,
-    report: ErgodicityReport | None = None,
-) -> QfiMatrix:
+def tangent_gram(D: DynamicalParams, tangents) -> np.ndarray:
+    """Complex Gram matrix M_ab = (x_map(dD_a), x_map(dD_b)) of tangent vectors.
+
+    The R-projections of all tangents come from one stacked restricted
+    solve.  M is Hermitian: its real part is the Fisher metric, its
+    imaginary part the symplectic form.
+    """
+    rho = require_ergodic(D).stationary
+    tangents = list(tangents)
+    m, d = len(tangents), D.dim
+    if not m:
+        return np.zeros((0, 0), dtype=complex)
+    E0 = np.stack([centering(D, e_map(D, dD)) for dD in tangents])
+    Z = restricted_inverse(D, E0)[:, None]  # (m, 1, d, d): broadcast over the channels
+    # reshape keeps the k = 0 case a (m, 0, d, d) stack
+    Ls = np.array(D.ls, dtype=complex).reshape(-1, d, d)
+    dLs = np.array([dD.dls for dD in tangents], dtype=complex).reshape(m, -1, d, d)
+    Y = dLs - 1j * (Ls @ Z - Z @ Ls)
+    # tr[rho A* B] = <A, B rho> in the Frobenius pairing
+    M = Y.reshape(m, -1).conj() @ (Y @ rho).reshape(m, -1).T
+    return 0.5 * (M + dag(M))
+
+
+def qfi_rate(D: DynamicalParams, tangents, convention: str) -> QfiMatrix:
     """Fisher information rate matrix of the stationary output.
 
     convention must be chosen explicitly: "metric" returns
@@ -202,19 +179,7 @@ def qfi_rate(
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    rep = report if report is not None else require_ergodic(D)
-    rho = rep.stationary
-    tangents = list(tangents)
-    m = len(tangents)
-    projected = [r_projection(D, x_map(D, dD), report=rep) for dD in tangents]
-    G = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            val = sum(
-                np.trace(rho @ dag(Xi) @ Yi)
-                for Xi, Yi in zip(projected[a].xs, projected[b].xs)
-            ).real
-            G[a, b] = G[b, a] = val
+    G = tangent_gram(D, tangents).real
     if convention == "four_x":
         G = 4.0 * G
     return QfiMatrix(matrix=G, convention=convention)
@@ -228,7 +193,6 @@ def finite_time_covariance(
     quad_steps: int,
     *,
     phi: np.ndarray | None = None,
-    report: ErgodicityReport | None = None,
 ) -> complex:
     """Finite-time fluctuation covariance <F_t(X)* F_t(Y)> by quadrature.
 
@@ -251,7 +215,7 @@ def finite_time_covariance(
     N = int(quad_steps)
     if N % 2:
         N += 1
-    rep = report if report is not None else require_ergodic(D)
+    rep = require_ergodic(D)
     rho = rep.stationary
     d = D.dim
     for name, X0 in (("X", X.x0), ("Y", Y.x0)):
@@ -264,7 +228,7 @@ def finite_time_covariance(
     phi = np.asarray(phi, dtype=complex)
     phi = phi / np.linalg.norm(phi)
 
-    W = heisenberg_generator(D).matrix
+    W = rep.generator.matrix
     n = d * d
     h = t / N
     # block exponential gives the step propagator and its exact integral

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CONVENTIONS, tangent_covariance
+from .covariance import CONVENTIONS, tangent_covariance, tangent_gram
 from .geometry import TangentVector, e_map
-from .lindblad import DynamicalParams, ErgodicityReport, require_ergodic, stationary_state
+from .lindblad import DynamicalParams, require_ergodic
 from .opspace import dag, re_part
 
 IDENTIFIABLE_TOL = 1e-8
@@ -44,17 +44,11 @@ def complex_structure(D: DynamicalParams, dD: TangentVector) -> TangentVector:
     return TangentVector(re_part(acc), tuple(1j * dL for dL in dD.dls))
 
 
-def symplectic_form(
-    D: DynamicalParams,
-    dDa: TangentVector,
-    dDb: TangentVector,
-    *,
-    report: ErgodicityReport | None = None,
-) -> float:
+def symplectic_form(D: DynamicalParams, dDa: TangentVector, dDb: TangentVector) -> float:
     """sigma(dD, dD') = Im (dD, dD'): antisymmetric on identifiable vectors."""
     _require_identifiable(D, dDa)
     _require_identifiable(D, dDb)
-    return float(tangent_covariance(D, dDa, dDb, report=report).imag)
+    return float(tangent_covariance(D, dDa, dDb).imag)
 
 
 @dataclass(frozen=True)
@@ -83,15 +77,6 @@ def _complex_scale(c: complex, v: TangentVector, D: DynamicalParams) -> TangentV
     return out
 
 
-def _gram(D, vectors, report) -> np.ndarray:
-    m = len(vectors)
-    M = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            M[a, b] = tangent_covariance(D, vectors[a], vectors[b], report=report)
-    return M
-
-
 def _is_canonical(M: np.ndarray, tol: float) -> bool:
     m = M.shape[0]
     if m % 2:
@@ -115,7 +100,6 @@ def symplectic_basis(
     convention: str,
     *,
     complete_with_j: bool = False,
-    report: ErgodicityReport | None = None,
 ) -> GaussianLimitModel:
     """Construct a canonical symplectic basis of the identifiable span.
 
@@ -129,14 +113,14 @@ def symplectic_basis(
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    rep = report if report is not None else require_ergodic(D)
+    require_ergodic(D)  # non-ergodic dynamics fails before the span is inspected
     spanning = list(spanning)
     if not spanning:
         raise ValueError("empty spanning set")
     for v in spanning:
         _require_identifiable(D, v)
 
-    M_in = _gram(D, spanning, rep)
+    M_in = tangent_gram(D, spanning)
     scale = max(1.0, float(np.max(np.abs(M_in))))
 
     # real-linear independence of the inputs under the metric
@@ -172,8 +156,8 @@ def symplectic_basis(
     for v in candidates:
         w = v
         for e in modes:
-            w = w - _complex_scale(tangent_covariance(D, e, w, report=rep), e, D)
-        nrm2 = tangent_covariance(D, w, w, report=rep).real
+            w = w - _complex_scale(tangent_covariance(D, e, w), e, D)
+        nrm2 = tangent_covariance(D, w, w).real
         if nrm2 <= drop_tol:
             continue
         modes.append((1.0 / np.sqrt(nrm2)) * w)
@@ -189,7 +173,7 @@ def symplectic_basis(
         basis.append(e)
         basis.append(-1.0 * complex_structure(D, e))
 
-    M = _gram(D, basis, rep)
+    M = tangent_gram(D, basis)
     if not _is_canonical(M, 1e-8 * max(1.0, float(np.max(np.abs(M))))):
         raise ArithmeticError("orthonormalisation failed to reach canonical form")
     F = np.diag(np.diagonal(M.real))
@@ -232,20 +216,14 @@ def coherent_overlap(model: GaussianLimitModel, u, u2) -> complex:
     return complex(np.exp(-0.125 * du @ model.f @ du + 1j * (u @ model.sigma @ u2)))
 
 
-def phase_matrix(
-    D: DynamicalParams,
-    second_derivs,
-    *,
-    report: ErgodicityReport | None = None,
-) -> np.ndarray:
+def phase_matrix(D: DynamicalParams, second_derivs) -> np.ndarray:
     """Quadratic phase matrix of a chart: S_aa' = (1/2) tr[rho_ss E(ddD_aa')].
 
     second_derivs is an m x m symmetric array of second-derivative tuples
     (ddH_aa', ddL^i_aa'), given as TangentVector instances.  Linear charts
     (all second derivatives zero) give S = 0.
     """
-    rep = report if report is not None else require_ergodic(D)
-    rho = rep.stationary
+    rho = require_ergodic(D).stationary
     m = len(second_derivs)
     S = np.zeros((m, m))
     for a in range(m):
@@ -256,20 +234,13 @@ def phase_matrix(
     return 0.5 * (S + S.T)
 
 
-def phase_matrix_from_chart(
-    chart_fn,
-    m: int,
-    *,
-    step: float = 1e-4,
-    report: ErgodicityReport | None = None,
-) -> np.ndarray:
+def phase_matrix_from_chart(chart_fn, m: int, *, step: float = 1e-4) -> np.ndarray:
     """Finite-difference the chart u -> D(u) to get S without analytic derivatives.
 
     Uses second-order central differences with the given step on every
     component of (H(u), L^i(u)).
     """
     D0 = chart_fn(np.zeros(m))
-    rep = report if report is not None else stationary_state(D0)
 
     def tuples_at(u):
         Du = chart_fn(np.asarray(u, dtype=float))
@@ -297,4 +268,4 @@ def phase_matrix_from_chart(
             tv = TangentVector(ddh, tuple(dd[1:]))
             second[a][b] = tv
             second[b][a] = tv
-    return phase_matrix(D0, second, report=rep)
+    return phase_matrix(D0, second)

@@ -32,15 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (
-    DynamicalParams,
-    ErgodicityReport,
-    NonErgodicError,
-    _restricted_inverse_mat,
-    heisenberg_generator,
-    offdiag_generator,
-    require_ergodic,
-)
+from .lindblad import DynamicalParams, offdiag_generator, require_ergodic, restricted_inverse
 from .opspace import dag, im_part
 
 EQ_TOL_SCALE = 1e-8
@@ -209,40 +201,30 @@ def e_map(D: DynamicalParams, dD: TangentVector) -> np.ndarray:
     return dD.dh + im_part(acc)
 
 
-def e0_map(
-    D: DynamicalParams, dD: TangentVector, *, report: ErgodicityReport | None = None
-) -> np.ndarray:
+def e0_map(D: DynamicalParams, dD: TangentVector) -> np.ndarray:
     """Centred Ito correction E(dD) - tr[rho_ss E(dD)] id."""
-    rep = report if report is not None else require_ergodic(D)
     E = e_map(D, dD)
-    return E - np.trace(rep.stationary @ E) * np.eye(D.dim)
+    return E - np.trace(require_ergodic(D).stationary @ E) * np.eye(D.dim)
 
 
-def connection_form(
-    D: DynamicalParams, dD: TangentVector, *, report: ErgodicityReport | None = None
-) -> LieAlgebraElement:
+def connection_form(D: DynamicalParams, dD: TangentVector) -> LieAlgebraElement:
     """Connection one-form omega(dD) = (W^{-1}(E^0(dD)), tr[rho_ss E(dD)]).
 
     Returns the unique Lie algebra element whose pushforward reproduces the
     gauge part of dD; the K component is zero-mean by construction.
     """
-    rep = report if report is not None else require_ergodic(D)
-    if not rep.ergodic:
-        raise NonErgodicError("connection form requires ergodic dynamics")
-    rho = rep.stationary
+    rho = require_ergodic(D).stationary
     E = e_map(D, dD)
     r = np.trace(rho @ E).real
     E0 = E - r * np.eye(D.dim)
-    K = _restricted_inverse_mat(heisenberg_generator(D), rho, E0)
+    K = restricted_inverse(D, E0)
     K = 0.5 * (K + dag(K))
     return LieAlgebraElement(K, r)
 
 
-def horizontal_projection(
-    D: DynamicalParams, dD: TangentVector, *, report: ErgodicityReport | None = None
-) -> TangentVector:
+def horizontal_projection(D: DynamicalParams, dD: TangentVector) -> TangentVector:
     """P(dD) = dD - push(omega(dD)); the identifiable part of dD (E(P dD) = 0)."""
-    om = connection_form(D, dD, report=report)
+    om = connection_form(D, dD)
     return dD - lie_pushforward(D, om)
 
 
@@ -266,16 +248,13 @@ def _hermitian_traceless_basis(d: int):
     return out
 
 
-def vertical_basis(
-    D: DynamicalParams, *, report: ErgodicityReport | None = None
-) -> list:
+def vertical_basis(D: DynamicalParams) -> list:
     """Pushforwards of a Lie algebra basis: d^2 spanning gauge directions.
 
     The first d^2 - 1 come from zero-mean Hermitian generators, the last is
     the Hamiltonian-shift direction (id, 0, ..., 0).
     """
-    rep = report if report is not None else require_ergodic(D)
-    rho = rep.stationary
+    rho = require_ergodic(D).stationary
     basis = [
         lie_pushforward(D, LieAlgebraElement.with_zero_mean(B, 0.0, rho))
         for B in _hermitian_traceless_basis(D.dim)

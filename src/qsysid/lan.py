@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import tangent_covariance
+from .covariance import tangent_gram
 from .gaussian import phase_matrix
 from .geometry import TangentVector, e_map
 from .lindblad import (
     DynamicalParams,
-    ErgodicityReport,
     NonErgodicError,
     offdiag_generator,
     require_ergodic,
@@ -117,9 +116,8 @@ class LanReport:
     max_abs_error: float
 
 
-def _default_phi(D: DynamicalParams, report: ErgodicityReport | None = None) -> np.ndarray:
-    rep = report if report is not None else require_ergodic(D)
-    vals, vecs = np.linalg.eigh(rep.stationary)
+def _default_phi(D: DynamicalParams) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(require_ergodic(D).stationary)
     return vecs[:, int(np.argmax(vals))]
 
 
@@ -140,35 +138,23 @@ def finite_overlap(chart: LocalChart, u, u2, t: float, phi=None) -> complex:
     return complex(phi.conj() @ evolved @ phi)
 
 
-def chart_gram(chart: LocalChart, *, report: ErgodicityReport | None = None) -> np.ndarray:
-    """Complex Gram matrix M_ab = (dir_a, dir_b) of the chart directions."""
-    rep = report if report is not None else require_ergodic(chart.base)
-    m = chart.n_params
-    M = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            M[a, b] = tangent_covariance(chart.base, chart.directions[a], chart.directions[b], report=rep)
-    return M
-
-
-def chart_phase_matrix(chart: LocalChart, *, report: ErgodicityReport | None = None) -> np.ndarray:
+def chart_phase_matrix(chart: LocalChart) -> np.ndarray:
     if chart.second_derivs is None:
         m = chart.n_params
         return np.zeros((m, m))
-    return phase_matrix(chart.base, chart.second_derivs, report=report)
+    return phase_matrix(chart.base, chart.second_derivs)
 
 
-def limit_overlap(chart: LocalChart, u, u2, *, report: ErgodicityReport | None = None) -> complex:
+def limit_overlap(chart: LocalChart, u, u2) -> complex:
     """The Gaussian limit of finite_overlap for t -> infinity.
 
     exp(-(1/8) du^T (4 Re M) du + i u^T (Im M) u' + i (u^T S u - u'^T S u'));
     for linear charts S = 0 and this is the bare coherent-state overlap.
     """
-    rep = report if report is not None else require_ergodic(chart.base)
     u = np.asarray(u, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    M = chart_gram(chart, report=rep)
-    S = chart_phase_matrix(chart, report=rep)
+    M = tangent_gram(chart.base, chart.directions)
+    S = chart_phase_matrix(chart)
     du = u - u2
     val = -0.125 * du @ (4.0 * M.real) @ du
     val = val + 1j * (u @ M.imag @ u2)
@@ -178,18 +164,17 @@ def limit_overlap(chart: LocalChart, u, u2, *, report: ErgodicityReport | None =
 
 def lan_convergence(chart: LocalChart, u, u2, t_values, phi=None) -> LanReport:
     """Scan finite-time overlaps over a t-grid against the Gaussian limit."""
-    rep = require_ergodic(chart.base)
     t_values = tuple(float(t) for t in t_values)
     if phi is None:
-        phi = _default_phi(chart.base, rep)
-    limit = limit_overlap(chart, u, u2, report=rep)
+        phi = _default_phi(chart.base)
+    limit = limit_overlap(chart, u, u2)
     finite = tuple(finite_overlap(chart, u, u2, t, phi) for t in t_values)
     errors = tuple(abs(f - limit) for f in finite)
     return LanReport(
         t_values=t_values,
         finite_overlaps=finite,
         limit_value=limit,
-        phase_matrix_used=chart_phase_matrix(chart, report=rep),
+        phase_matrix_used=chart_phase_matrix(chart),
         errors=errors,
         max_abs_error=errors[int(np.argmax(t_values))],
     )

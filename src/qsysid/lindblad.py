@@ -14,9 +14,11 @@ invertible on the zero-mean subspace B_0 = {X : tr[rho_ss X] = 0}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .opspace import (
     Superoperator,
@@ -39,7 +41,13 @@ class NonErgodicError(ValueError):
 
 @dataclass(frozen=True)
 class DynamicalParams:
-    """The dynamical parameter D = (H, L^1, ..., L^k)."""
+    """The dynamical parameter D = (H, L^1, ..., L^k).
+
+    Instances are immutable (their arrays are read-only copies), so the
+    ergodicity diagnosis and the restricted-inverse factorisation are
+    computed at most once per instance and shared by every function that
+    needs them; see :func:`require_ergodic`.
+    """
 
     h: np.ndarray
     ls: tuple
@@ -82,28 +90,47 @@ class DynamicalParams:
             acc = acc + dag(L) @ L
         return self.h - 0.5j * acc
 
+    @cached_property
+    def _ergodic_context(self) -> ErgodicityReport:
+        # a failed diagnosis raises, and cached_property stores nothing then
+        rep = stationary_state(self)
+        if not rep.ergodic:
+            raise NonErgodicError(
+                f"dynamics is not ergodic: {rep.zero_eigen_count} near-zero eigenvalues, "
+                f"min stationary eigenvalue {rep.min_stationary_eigenvalue:.3e}"
+            )
+        # [[W, vec(id)], [vec(rho)^H, 0]] is nonsingular for ergodic W; its
+        # solve with right-hand side (X, 0) is the group inverse of W on B_0
+        # (Meyer, SIAM Review 17, 1975)
+        n = self.dim**2
+        border = np.zeros((n + 1, n + 1), dtype=complex)
+        border[:n, :n] = rep.generator.matrix
+        border[:n, n] = vectorize(np.eye(self.dim))
+        border[n, :n] = vectorize(rep.stationary).conj()
+        return replace(rep, bordered_lu=scipy.linalg.lu_factor(border))
+
 
 @dataclass(frozen=True)
 class ErgodicityReport:
-    """Spectral diagnosis of a generator: unique full-rank fixed state or not."""
+    """Spectral diagnosis of a generator: unique full-rank fixed state or not.
+
+    generator is the W that was diagnosed.  bordered_lu, the LU factors of
+    [[W, vec(id)], [vec(rho_ss)^H, 0]], is set only on the report that
+    :func:`require_ergodic` returns.
+    """
 
     ergodic: bool
     stationary: np.ndarray | None
     zero_eigen_count: int
     min_stationary_eigenvalue: float
     spectral_gap: float
+    generator: Superoperator | None = field(default=None, repr=False)
+    bordered_lu: tuple | None = field(default=None, repr=False)
 
 
 def heisenberg_generator(D: DynamicalParams) -> Superoperator:
     """The Heisenberg-picture generator W as a d^2 x d^2 matrix."""
-    d = D.dim
-    ident = np.eye(d, dtype=complex)
-    heff = D.effective_hamiltonian()
-    W = (-1j * left_right_superop(ident, heff)).matrix
-    W = W + (1j * left_right_superop(dag(heff), ident)).matrix
-    for L in D.ls:
-        W = W + left_right_superop(dag(L), L).matrix
-    return Superoperator(d, W)
+    return offdiag_generator(D, D)
 
 
 def schrodinger_generator(D: DynamicalParams) -> Superoperator:
@@ -147,15 +174,15 @@ def stationary_state(D: DynamicalParams, rank_tol_scale: float = RANK_TOL_SCALE)
     """
     d = D.dim
     W = heisenberg_generator(D)
-    vals = np.linalg.eigvals(W.matrix)
+    # left eigenvectors of W are the eigenvectors of W_* = W^H
+    vals, left = scipy.linalg.eig(W.matrix, left=True, right=False)
     rank_tol = rank_tol_scale * (1.0 + np.linalg.norm(W.matrix))
     near_zero = np.abs(vals) < rank_tol
     zero_count = int(np.count_nonzero(near_zero))
     nonzero = vals[~near_zero]
     gap = float(-np.max(nonzero.real)) if nonzero.size else 0.0
 
-    dual_vals, dual_vecs = np.linalg.eig(dag(W.matrix))
-    rho = devectorize(dual_vecs[:, np.argmin(np.abs(dual_vals))], d)
+    rho = devectorize(left[:, np.argmin(np.abs(vals))], d)
     tr = np.trace(rho)
     if abs(tr) < 1e-14:
         min_eig = -np.inf
@@ -174,45 +201,40 @@ def stationary_state(D: DynamicalParams, rank_tol_scale: float = RANK_TOL_SCALE)
         zero_eigen_count=zero_count,
         min_stationary_eigenvalue=min_eig,
         spectral_gap=gap,
+        generator=W,
     )
 
 
 def require_ergodic(D: DynamicalParams) -> ErgodicityReport:
-    rep = stationary_state(D)
-    if not rep.ergodic:
-        raise NonErgodicError(
-            f"dynamics is not ergodic: {rep.zero_eigen_count} near-zero eigenvalues, "
-            f"min stationary eigenvalue {rep.min_stationary_eigenvalue:.3e}"
-        )
-    return rep
+    """The diagnosis of D, with its bordered factorisation, computed once per D.
+
+    Raises NonErgodicError (on every call) when D is not ergodic.
+    """
+    return D._ergodic_context
 
 
-def _restricted_inverse_mat(W: Superoperator, rho: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Solve W(K) = X with tr[rho K] = 0 by a stacked least-squares system."""
-    d = rho.shape[0]
-    A = np.vstack([W.matrix, vectorize(rho).conj()[None, :]])
-    b = np.concatenate([vectorize(X), [0.0]])
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return devectorize(sol, d)
-
-
-def restricted_inverse(D: DynamicalParams, X, *, report: ErgodicityReport | None = None) -> np.ndarray:
+def restricted_inverse(D: DynamicalParams, X) -> np.ndarray:
     """Inverse of W on the zero-mean subspace B_0.
 
-    The input must satisfy tr[rho_ss X] = 0 (within 1e-10 of its scale);
+    X is one operator or a (..., d, d) stack of them, solved together.  The
+    input must satisfy tr[rho_ss X] = 0 (within 1e-10 of its scale);
     off-subspace inputs are rejected rather than silently centred.
     """
-    rep = report if report is not None else require_ergodic(D)
-    if not rep.ergodic:
-        raise NonErgodicError("restricted_inverse requires ergodic dynamics")
+    rep = require_ergodic(D)
     X = np.asarray(X, dtype=complex)
-    rho = rep.stationary
-    mean = np.trace(rho @ X)
-    if abs(mean) > CENTERED_TOL * (1.0 + np.linalg.norm(X)):
-        raise ValueError(
-            f"input is not in B_0: tr[rho_ss X] = {mean:.3e}; centre it first"
-        )
-    return _restricted_inverse_mat(heisenberg_generator(D), rho, X)
+    d = D.dim
+    if X.ndim < 2 or X.shape[-2:] != (d, d):
+        raise ValueError(f"expected a ({d}, {d}) operator or a stack of them, got shape {X.shape}")
+    means = np.einsum("ij,...ji->...", rep.stationary, X)
+    scales = CENTERED_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+    if np.any(np.abs(means) > scales):
+        worst = np.max(np.abs(means))
+        raise ValueError(f"input is not in B_0: tr[rho_ss X] = {worst:.3e}; centre it first")
+    # column-stacked vec(X) of every operator, as the columns of one right-hand side
+    cols = np.swapaxes(X, -1, -2).reshape(-1, d * d).T
+    rhs = np.vstack([cols, np.zeros((1, cols.shape[1]))])
+    sol = scipy.linalg.lu_solve(rep.bordered_lu, rhs)[:-1]
+    return np.swapaxes(sol.T.reshape(X.shape[:-2] + (d, d)), -1, -2)
 
 
 def semigroup_apply(D: DynamicalParams, t: float, X) -> np.ndarray:

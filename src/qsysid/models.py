@@ -265,13 +265,13 @@ def one_param_presets(h, ell) -> tuple:
     d = base.dim
 
     ldl = dag(ell) @ ell
-    z_phase = restricted_inverse(base, ldl - np.trace(rho @ ldl) * np.eye(d), report=rep)
+    z_phase = restricted_inverse(base, ldl - np.trace(rho @ ldl) * np.eye(d))
     m_phase = ell + _comm(ell, z_phase)
     f_phase = float(np.trace(rho @ dag(m_phase) @ m_phase).real)
 
     f_coupling = float(np.trace(rho @ ldl).real)
 
-    z_ham = restricted_inverse(base, h - np.trace(rho @ h) * np.eye(d), report=rep)
+    z_ham = restricted_inverse(base, h - np.trace(rho @ h) * np.eye(d))
     m_ham = _comm(ell, z_ham)
     f_ham = float(np.trace(rho @ dag(m_ham) @ m_ham).real)
 

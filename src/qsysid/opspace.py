@@ -45,11 +45,6 @@ def im_part(X) -> np.ndarray:
     return (X - dag(X)) / 2j
 
 
-def is_hermitian(X, tol: float = 1e-12) -> bool:
-    X = np.asarray(X)
-    return np.max(np.abs(X - dag(X))) <= tol * (1.0 + np.linalg.norm(X))
-
-
 def vectorize(X) -> np.ndarray:
     """Column-stack a (d, d) matrix: entry (i, j) lands at index j*d + i."""
     return _as_square(X).reshape(-1, order="F")
@@ -71,10 +66,6 @@ def hs_inner(A, B) -> complex:
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return complex(np.trace(dag(A) @ B))
-
-
-def hs_norm(A) -> float:
-    return float(np.linalg.norm(np.asarray(A)))
 
 
 @dataclass(frozen=True)
@@ -111,10 +102,6 @@ class Superoperator:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in composition")
         return Superoperator(self.dim, self.matrix @ other.matrix)
-
-    def adjoint(self) -> "Superoperator":
-        """Adjoint with respect to the Hilbert-Schmidt pairing."""
-        return Superoperator(self.dim, dag(self.matrix))
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         return Superoperator(self.dim, self.matrix + other.matrix)

@@ -148,10 +148,10 @@ def test_criterion_03_connection_components(criterion, random_points):
             ref = two_level_reference(p)
             tans = two_level_tangents(p).physical
             for dD, comp in zip(tans, ref.connection_components):
-                om = connection_form(D, dD, report=rep)
+                om = connection_form(D, dD)
                 assert np.max(np.abs(om.k - comp.k)) < 1e-8
                 assert abs(om.r - comp.r) < 1e-8
-            flat = connection_form(D, tans[2], report=rep)
+            flat = connection_form(D, tans[2])
             assert np.max(np.abs(flat.k)) < 1e-8 and abs(flat.r) < 1e-8
 
 
@@ -181,15 +181,15 @@ def test_criterion_05_projection_algebra(criterion):
             zero = np.zeros((d, d), dtype=complex)
 
             X = OperatorTuple(random_matrix(rng, d), [random_matrix(rng, d) for _ in range(k)])
-            RX = r_projection(D, X, report=rep)
-            RRX = r_projection(D, RX, report=rep)
+            RX = r_projection(D, X)
+            RRX = r_projection(D, RX)
             scale = 1 + X.norm()
             assert np.max(np.abs(RRX.x0 - RX.x0)) < 1e-9 * scale
             assert all(np.max(np.abs(a - b)) < 1e-9 * scale for a, b in zip(RRX.xs, RX.xs))
             assert np.max(np.abs(RX.x0)) < 1e-9 * scale
 
             Y = OperatorTuple(zero, [random_matrix(rng, d) for _ in range(k)])
-            RY = r_projection(D, Y, report=rep)
+            RY = r_projection(D, Y)
             assert all(np.max(np.abs(a - b)) < 1e-9 for a, b in zip(RY.xs, Y.xs))
 
             K = random_matrix(rng, d)
@@ -198,22 +198,22 @@ def test_criterion_05_projection_algebra(criterion):
                 heisenberg_generator(D)(K) + r * np.eye(d),
                 [1j * (L @ K - K @ L) for L in D.ls],
             )
-            assert r_projection(D, ker, report=rep).norm() < 1e-9 * (1 + ker.norm())
+            assert r_projection(D, ker).norm() < 1e-9 * (1 + ker.norm())
 
             dD = random_tangent(rng, d, k)
-            P1 = horizontal_projection(D, dD, report=rep)
-            P2 = horizontal_projection(D, P1, report=rep)
+            P1 = horizontal_projection(D, dD)
+            P2 = horizontal_projection(D, P1)
             assert (P2 - P1).norm() < 1e-9 * (1 + dD.norm())
 
-            vert = vertical_basis(D, report=rep)
+            vert = vertical_basis(D)
             assert len(vert) == d * d
             for v in vert:
-                assert horizontal_projection(D, v, report=rep).norm() < 1e-9 * (1 + v.norm())
+                assert horizontal_projection(D, v).norm() < 1e-9 * (1 + v.norm())
 
             # dim ker P = d^2: rank of Id - P over a real tangent basis
             basis = tangent_real_basis(d, k)
             cols = np.stack(
-                [flatten_tangent(e - horizontal_projection(D, e, report=rep)) for e in basis]
+                [flatten_tangent(e - horizontal_projection(D, e)) for e in basis]
             )
             svals = np.linalg.svd(cols, compute_uv=False)
             rank = int(np.count_nonzero(svals > 1e-7 * svals[0]))
@@ -237,7 +237,7 @@ def test_criterion_07_gauge_invariance(criterion):
             D, rep = random_ergodic(rng, 2, 1)
             X = LieAlgebraElement.with_zero_mean(random_hermitian(rng, 2), rng.normal(), rep.stationary)
             tangents = [random_tangent(rng, 2, 1), lie_pushforward(D, X), random_tangent(rng, 2, 1)]
-            qfi = qfi_rate(D, tangents, "metric", report=rep)
+            qfi = qfi_rate(D, tangents, "metric")
             assert np.max(np.abs(qfi.matrix[1, :])) < 1e-10
             assert np.max(np.abs(qfi.matrix[:, 1])) < 1e-10
 
@@ -246,10 +246,10 @@ def test_criterion_07_gauge_invariance(criterion):
             rep_g = stationary_state(Dg)
             assert np.max(np.abs(rep_g.stationary - g.w.conj().T @ rep.stationary @ g.w)) < 1e-9
 
-            va = horizontal_projection(D, tangents[0], report=rep)
-            vb = horizontal_projection(D, tangents[2], report=rep)
-            lhs = tangent_covariance(D, va, vb, report=rep)
-            rhs = tangent_covariance(Dg, gauge_pushforward(g, va), gauge_pushforward(g, vb), report=rep_g)
+            va = horizontal_projection(D, tangents[0])
+            vb = horizontal_projection(D, tangents[2])
+            lhs = tangent_covariance(D, va, vb)
+            rhs = tangent_covariance(Dg, gauge_pushforward(g, va), gauge_pushforward(g, vb))
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 
 
@@ -270,11 +270,11 @@ def test_criterion_09_covariance_convergence(criterion, preset):
         for _ in range(5):
             proj = horizontal_projection(D, random_tangent(rng, 2, 1))
             raw = x_map(D, proj)
-            X = OperatorTuple(centering(D, raw.x0, report=rep), raw.xs)
-            limit = markov_covariance(D, X, X, report=rep)
+            X = OperatorTuple(centering(D, raw.x0), raw.xs)
+            limit = markov_covariance(D, X, X)
             assert abs(limit) > 1e-6
             errs = np.array(
-                [abs(finite_time_covariance(D, X, X, t, 400, report=rep) - limit) for t in t_grid]
+                [abs(finite_time_covariance(D, X, X, t, 400) - limit) for t in t_grid]
             )
             exponent = -np.polyfit(np.log(t_grid), np.log(errs), 1)[0]
             assert exponent >= 0.9
@@ -282,7 +282,7 @@ def test_criterion_09_covariance_convergence(criterion, preset):
             vals = [
                 finite_time_covariance(
                     D, X, X, t_grid[-1], 400,
-                    phi=rng.normal(size=2) + 1j * rng.normal(size=2), report=rep,
+                    phi=rng.normal(size=2) + 1j * rng.normal(size=2),
                 )
                 for _ in range(3)
             ]
@@ -346,7 +346,7 @@ def test_criterion_13_complex_structure(criterion, preset):
         while count < 50:
             D, rep = random_ergodic(rng, 2, 1)
             for _ in range(5):
-                v = horizontal_projection(D, random_tangent(rng, 2, 1), report=rep)
+                v = horizontal_projection(D, random_tangent(rng, 2, 1))
                 Jv = complex_structure(D, v)
                 assert (complex_structure(D, Jv) + v).norm() < 1e-10 * (1 + v.norm())
                 Xv, XJv = x_map(D, v), x_map(D, Jv)

@@ -178,6 +178,8 @@ class TestRun:
         }
         res = run(parse_config(json.dumps(cfg)))["result"]
         assert np.allclose(res["matrix"], [[1 / 3]], atol=1e-10)
+        cfg["tangents"] = []
+        assert run(parse_config(json.dumps(cfg)))["result"]["matrix"] == []
 
 
 class TestMainAndFormats:

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qsysid.lindblad
 from qsysid import (
     GaugeElement,
     LieAlgebraElement,
@@ -21,6 +24,7 @@ from qsysid import (
     r_projection,
     restricted_inverse,
     tangent_covariance,
+    tangent_gram,
     two_level_tangents,
     x_map,
 )
@@ -163,8 +167,8 @@ class TestMarkovCovariance:
             D, rep = random_ergodic(rng, d, k)
             for _ in range(50):
                 X, Y = random_tuple(rng, d, k), random_tuple(rng, d, k)
-                a = markov_covariance(D, X, Y, report=rep)
-                b = markov_covariance_expanded(D, X, Y, report=rep)
+                a = markov_covariance(D, X, Y)
+                b = markov_covariance_expanded(D, X, Y)
                 assert abs(a - b) < 1e-10 * (1 + abs(a))
 
     def test_kernel_identity(self):
@@ -229,6 +233,31 @@ class TestQfiRate:
         qfi = qfi_rate(D, [TangentVector(H, [np.zeros((2, 2))])], "metric")
         assert qfi.matrix[0, 0] == pytest.approx(expected, abs=1e-10)
 
+    def test_gram_matches_pairwise_covariance(self):
+        D, _ = random_ergodic(rng, 3, 2)
+        tangents = [random_tangent(rng, 3, 2) for _ in range(5)]
+        pairwise = [[tangent_covariance(D, a, b) for b in tangents] for a in tangents]
+        assert_allclose(tangent_gram(D, tangents), pairwise, rtol=1e-12, atol=1e-12)
+
+    def test_empty_tangent_list(self, preset_point):
+        _, D, _ = preset_point
+        assert tangent_gram(D, []).shape == (0, 0)
+        assert qfi_rate(D, [], "metric").matrix.shape == (0, 0)
+
+    def test_each_dynamics_diagnosed_once_without_lstsq(self):
+        D, _ = random_ergodic(rng, 8, 2)
+        tangents = [random_tangent(rng, 8, 2) for _ in range(20)]
+        g = GaugeElement(random_unitary(rng, 8), 0.4)
+        with mock.patch.object(
+            qsysid.lindblad, "stationary_state", wraps=qsysid.lindblad.stationary_state
+        ) as diagnose, mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            first = qfi_rate(D, tangents, "metric").matrix
+            assert (diagnose.call_count, lstsq.call_count) == (1, 0)
+            assert_allclose(qfi_rate(D, tangents, "metric").matrix, first, atol=0)
+            assert diagnose.call_count == 1
+            qfi_rate(gauge_apply(g, D), [gauge_pushforward(g, t) for t in tangents], "metric")
+            assert (diagnose.call_count, lstsq.call_count) == (2, 0)
+
     def test_convention_is_mandatory_and_checked(self, preset_point):
         p, D, _ = preset_point
         tans = two_level_tangents(p).physical
@@ -276,7 +305,7 @@ class TestFiniteTimeCovariance:
     def test_kernel_direction_decays(self, preset_point):
         _, D, rep = preset_point
         raw = kernel_tuple(D, rep, rng)
-        X = OperatorTuple(centering(D, raw.x0, report=rep), raw.xs)
+        X = OperatorTuple(centering(D, raw.x0), raw.xs)
         vals = [
             abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap, 300))
             for tg in (25, 100)

@@ -18,7 +18,7 @@ from qsysid import (
     two_level,
     two_level_tangents,
 )
-from qsysid.lan import chart_gram
+from qsysid.covariance import tangent_gram
 from qsysid.lindblad import NonErgodicError, offdiag_generator
 from qsysid.models import SIGMA_Z, TwoLevelParams
 from qsysid.opspace import expm
@@ -136,9 +136,13 @@ class TestLimitOverlap:
         u = rng.normal(size=4)
         assert limit_overlap(chart, u, u) == pytest.approx(1.0, abs=1e-14)
 
+    def test_zero_direction_chart(self, preset_point):
+        _, D, _ = preset_point
+        assert limit_overlap(LocalChart(D, []), [], []) == 1.0
+
     def test_linear_chart_matches_coherent_overlap(self, preset_chart):
         chart, _ = preset_chart
-        M = chart_gram(chart)
+        M = tangent_gram(chart.base, chart.directions)
         model = GaussianLimitModel(
             dim_id=4, basis=tuple(chart.directions), f=4 * M.real, sigma=M.imag,
             s=np.zeros((4, 4)), convention="four_x",

@@ -130,6 +130,18 @@ class TestRestrictedInverse:
         with pytest.raises(ValueError, match="B_0"):
             restricted_inverse(D, I2)
 
+    def test_stack_solves_each_operator(self):
+        D, _ = random_ergodic(rng, 3, 2)
+        W = heisenberg_generator(D)
+        X = np.stack([W(random_matrix(rng, 3)) for _ in range(4)]).reshape(2, 2, 3, 3)
+        K = restricted_inverse(D, X)
+        assert K.shape == (2, 2, 3, 3)
+        for i in range(2):
+            for j in range(2):
+                assert_allclose(K[i, j], restricted_inverse(D, X[i, j]), atol=1e-13)
+        with pytest.raises(ValueError, match="B_0"):
+            restricted_inverse(D, np.stack([X[0, 0], np.eye(3)]))
+
     def test_rejects_non_ergodic(self):
         D = DynamicalParams(random_hermitian(rng, 2), [])
         with pytest.raises(NonErgodicError):
@@ -169,7 +181,7 @@ class TestDeskScale:
         assert W.matrix.shape == (64, 64)
         X = random_matrix(rng, 8)
         X -= np.trace(rep.stationary @ X) * np.eye(8)
-        K = restricted_inverse(D, X, report=rep)
+        K = restricted_inverse(D, X)
         assert np.max(np.abs(W(K) - X)) < 1e-9 * (1 + np.linalg.norm(X))
         assert np.max(np.abs(semigroup_apply(D, 0.7, np.eye(8)) - np.eye(8))) < 1e-10
 
