@@ -4,9 +4,10 @@
 The Markov covariance is defined as a t -> infinity limit of fluctuation
 second moments; its closed form only involves the stationary state and the
 inverse of the generator on the zero-mean subspace.  As an independent
-check, this script evaluates the covariance at finite t by deterministic
-quadrature of the semigroup integrals and watches it approach the closed
-form at the expected 1/t rate, from several initial system vectors.
+check, this script evaluates the covariance at finite t exactly, from one
+block exponential of the semigroup integrals, and watches it approach the
+closed form at the exact 1/t rate (t * error is constant), from several
+initial system vectors.
 """
 import numpy as np
 
@@ -43,7 +44,7 @@ errs = []
 ts = (25, 50, 100, 200)
 for tg in ts:
     t = tg / gap
-    val = finite_time_covariance(D, X, X, t, quad_steps=400)
+    val = finite_time_covariance(D, X, X, t)
     err = abs(val - limit)
     errs.append(err)
     print(f"  {tg:6d}  {val.real:15.8f}  {err:10.2e}  {err * tg:10.4f}")
@@ -55,5 +56,5 @@ print("\nthe limit does not depend on the initial system vector:")
 t = 200 / gap
 for k in range(3):
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    val = finite_time_covariance(D, X, X, t, quad_steps=400, phi=phi)
+    val = finite_time_covariance(D, X, X, t, phi=phi)
     print(f"  random phi #{k}: {val.real:.8f}")

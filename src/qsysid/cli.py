@@ -197,6 +197,9 @@ def parse_config(text: str) -> JobConfig:
     unknown = set(options) - known
     if unknown:
         raise ConfigError(f"options: unknown fields {sorted(unknown)}")
+    # deprecated: the finite-time covariance is exact, so a quad_steps value
+    # from an older config is accepted and dropped
+    options = {key: val for key, val in options.items() if key != "quad_steps"}
     if "convention" in options and options["convention"] not in CONVENTIONS:
         raise ConfigError(f"options.convention: expected one of {CONVENTIONS}")
     if command in _NEEDS_CONVENTION and "convention" not in options:
@@ -207,7 +210,7 @@ def parse_config(text: str) -> JobConfig:
         grid = options["t_grid"]
         if not isinstance(grid, list) or not grid or not all(isinstance(x, (int, float)) and x > 0 for x in grid):
             raise ConfigError("options.t_grid: expected a list of positive numbers")
-    return JobConfig(command=command, model=model, model2=model2, tangents=tangents, options=dict(options))
+    return JobConfig(command=command, model=model, model2=model2, tangents=tangents, options=options)
 
 
 def job_to_dict(job: JobConfig) -> dict:
@@ -296,7 +299,6 @@ def _effective_options(job: JobConfig) -> dict:
         "t_grid": list(DEFAULT_T_GRID),
         "format": "json",
         "out": None,
-        "quad_steps": 400,
     }
     eff.update(job.options)
     return eff
@@ -419,10 +421,7 @@ def run(job: JobConfig) -> dict:
             # component, and centring leaves the limit covariance unchanged
             X = OperatorTuple(centering(D, raw.x0), raw.xs)
             limit = markov_covariance(D, X, X)
-            finites = [
-                finite_time_covariance(D, X, X, t, int(opts["quad_steps"]))
-                for t in t_values
-            ]
+            finites = [finite_time_covariance(D, X, X, t) for t in t_values]
             series.append(
                 {
                     "label": label,

@@ -22,7 +22,7 @@ identity shifts.  Tangent vectors enter through
 and the Fisher information rate of the stationary output is the real part
 of the form on such images (times 4 in the generator-variance convention).
 
-A finite-time evaluation of the covariance by deterministic quadrature is
+The exact finite-time covariance, from one block matrix exponential, is
 provided as a numerical oracle for the limit formula.
 """
 from __future__ import annotations
@@ -34,7 +34,7 @@ import scipy.linalg
 
 from .geometry import TangentVector, e_map
 from .lindblad import DynamicalParams, heisenberg_generator, require_ergodic, restricted_inverse
-from .opspace import dag, devectorize, vectorize
+from .opspace import dag, devectorize, frozen_operators, left_right_superop, vectorize
 
 CONVENTIONS = ("four_x", "metric")
 
@@ -47,19 +47,7 @@ class OperatorTuple:
     xs: tuple
 
     def __init__(self, x0, xs):
-        x0 = np.asarray(x0, dtype=complex)
-        xs = tuple(np.asarray(X, dtype=complex) for X in xs)
-        d = x0.shape[0]
-        if x0.shape != (d, d) or any(X.shape != (d, d) for X in xs):
-            raise ValueError("tuple components must be square matrices of equal dimension")
-        mats = (x0,) + xs
-        if not all(np.all(np.isfinite(m)) for m in mats):
-            raise ValueError("non-finite entries in operator tuple")
-        x0 = x0.copy()
-        x0.setflags(write=False)
-        xs = tuple(X.copy() for X in xs)
-        for X in xs:
-            X.setflags(write=False)
+        x0, xs = frozen_operators("operator tuple", x0, xs)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xs", xs)
 
@@ -185,36 +173,40 @@ def qfi_rate(D: DynamicalParams, tangents, convention: str) -> QfiMatrix:
     return QfiMatrix(matrix=G, convention=convention)
 
 
+def default_phi(D: DynamicalParams) -> np.ndarray:
+    """The eigenvector of rho_ss with the largest eigenvalue, the default initial system vector."""
+    vals, vecs = np.linalg.eigh(require_ergodic(D).stationary)
+    return vecs[:, int(np.argmax(vals))]
+
+
 def finite_time_covariance(
     D: DynamicalParams,
     X: OperatorTuple,
     Y: OperatorTuple,
     t: float,
-    quad_steps: int,
     *,
     phi: np.ndarray | None = None,
 ) -> complex:
-    """Finite-time fluctuation covariance <F_t(X)* F_t(Y)> by quadrature.
+    """Exact finite-time fluctuation covariance <F_t(X)* F_t(Y)>.
 
     The vacuum expectation splits into an Ito term and two cross terms,
 
-        (1/t) int_0^t <phi| T_s(sum_i X^i* Y^i) |phi> ds
+        (1/t) <phi| J_t(sum_i X^i* Y^i) |phi>
       + (1/t) int_0^t <phi| J_{t-s}( Phi_X( T_s(Y^0) ) ) |phi> ds
       + conj{ same with X and Y swapped },
 
-    where J_tau = int_0^tau T_q dq and Phi_X(B) = X^0* B - i sum_i X^i* [B, L^i].
-    Semigroup and integrated-semigroup values at the quadrature nodes are
-    accumulated exactly from one block matrix exponential of step size t/N;
-    only the outer integrals use composite Simpson.  X^0 and Y^0 must be
-    centred.  Converges to markov_covariance as t grows, at rate O(1/t).
+    where J_tau = int_0^tau T_q dq and Phi_U(B) = U^0* B - i sum_i U^i* [B, L^i].
+    Both integrals are blocks of one matrix exponential per tuple U,
+
+        exp(t [[0, I, 0], [0, W, Phi_U], [0, 0, W]]),
+
+    whose block (0, 1) is J_t and block (0, 2) is int_0^t J_{t-s} Phi_U T_s ds
+    (Van Loan, IEEE TAC 23(3), 1978).  X^0 and Y^0 must be centred.  phi
+    defaults to :func:`default_phi`.  Converges to markov_covariance as t
+    grows, at rate O(1/t).
     """
     if t <= 0:
         raise ValueError("finite_time_covariance requires t > 0")
-    if quad_steps < 4:
-        raise ValueError("quad_steps must be at least 4")
-    N = int(quad_steps)
-    if N % 2:
-        N += 1
     rep = require_ergodic(D)
     rho = rep.stationary
     d = D.dim
@@ -222,53 +214,31 @@ def finite_time_covariance(
         mean = np.trace(rho @ X0)
         if abs(mean) > 1e-9 * (1.0 + np.linalg.norm(X0)):
             raise ValueError(f"{name}^0 is not centred: tr[rho_ss {name}^0] = {mean:.3e}")
-    if phi is None:
-        vals, vecs = np.linalg.eigh(rho)
-        phi = vecs[:, int(np.argmax(vals))]
-    phi = np.asarray(phi, dtype=complex)
+    phi = default_phi(D) if phi is None else np.asarray(phi, dtype=complex)
     phi = phi / np.linalg.norm(phi)
 
     W = rep.generator.matrix
     n = d * d
-    h = t / N
-    # block exponential gives the step propagator and its exact integral
-    blk = np.zeros((2 * n, 2 * n), dtype=complex)
-    blk[:n, :n] = W
-    blk[:n, n:] = np.eye(n)
-    eb = scipy.linalg.expm(h * blk)
-    Mh, Qh = eb[:n, :n], eb[:n, n:]
-    E = np.empty((N + 1, n, n), dtype=complex)
-    J = np.empty((N + 1, n, n), dtype=complex)
-    E[0] = np.eye(n)
-    J[0] = 0.0
-    for k in range(N):
-        J[k + 1] = J[k] + Qh @ E[k]
-        E[k + 1] = Mh @ E[k]
+    ident = np.eye(d, dtype=complex)
 
-    def expect(mat: np.ndarray) -> complex:
-        return phi.conj() @ mat @ phi
-
-    def phi_map(U: OperatorTuple, B: np.ndarray) -> np.ndarray:
-        out = dag(U.x0) @ B
+    def integrals(U: OperatorTuple) -> tuple[np.ndarray, np.ndarray]:
+        phi_u = left_right_superop(dag(U.x0), ident)
         for Ui, L in zip(U.xs, D.ls):
-            out = out - 1j * dag(Ui) @ (B @ L - L @ B)
-        return out
+            phi_u = phi_u - 1j * (left_right_superop(dag(Ui), L) - left_right_superop(dag(Ui) @ L, ident))
+        blk = np.zeros((3 * n, 3 * n), dtype=complex)
+        blk[:n, n : 2 * n] = np.eye(n)
+        blk[n : 2 * n, n : 2 * n] = W
+        blk[n : 2 * n, 2 * n :] = phi_u.matrix
+        blk[2 * n :, 2 * n :] = W
+        E = scipy.linalg.expm(t * blk)
+        return E[:n, n : 2 * n], E[:n, 2 * n :]
 
-    weights = np.ones(N + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
+    def expect(v: np.ndarray) -> complex:
+        return phi.conj() @ devectorize(v, d) @ phi
 
+    J, cross_x = integrals(X)
+    cross_y = cross_x if Y is X else integrals(Y)[1]
     ito_op = sum(dag(Xi) @ Yi for Xi, Yi in zip(X.xs, Y.xs))
-    total = expect(devectorize(J[N] @ vectorize(ito_op), d)) / t
-
-    def cross(U: OperatorTuple, V0: np.ndarray) -> complex:
-        vals = np.empty(N + 1, dtype=complex)
-        v0 = vectorize(V0)
-        for k in range(N + 1):
-            TsV = devectorize(E[k] @ v0, d)
-            vals[k] = expect(devectorize(J[N - k] @ vectorize(phi_map(U, TsV)), d))
-        return (weights @ vals) / t
-
-    total = total + cross(X, Y.x0) + np.conj(cross(Y, X.x0))
-    return complex(total)
+    total = expect(J @ vectorize(ito_op)) + expect(cross_x @ vectorize(Y.x0))
+    total = total + np.conj(expect(cross_y @ vectorize(X.x0)))
+    return complex(total / t)

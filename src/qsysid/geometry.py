@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import DynamicalParams, offdiag_generator, require_ergodic, restricted_inverse
-from .opspace import dag, im_part
+from .opspace import dag, frozen_operators, im_part
 
 EQ_TOL_SCALE = 1e-8
 WITNESS_PROPORTIONALITY_TOL = 1e-6
@@ -47,19 +47,7 @@ class TangentVector:
     dls: tuple
 
     def __init__(self, dh, dls):
-        dh = np.asarray(dh, dtype=complex)
-        dls = tuple(np.asarray(dL, dtype=complex) for dL in dls)
-        d = dh.shape[0]
-        if dh.shape != (d, d) or any(dL.shape != (d, d) for dL in dls):
-            raise ValueError("tangent components must be square matrices of equal dimension")
-        herm_err = np.max(np.abs(dh - dag(dh)))
-        if herm_err > 1e-12 * (1.0 + np.linalg.norm(dh)):
-            raise ValueError(f"dH must be Hermitian: ||dH - dH*|| = {herm_err:.3e}")
-        dh = dh.copy()
-        dh.setflags(write=False)
-        dls = tuple(dL.copy() for dL in dls)
-        for dL in dls:
-            dL.setflags(write=False)
+        dh, dls = frozen_operators("tangent vector", dh, dls, hermitian="dH")
         object.__setattr__(self, "dh", dh)
         object.__setattr__(self, "dls", dls)
 
@@ -140,12 +128,7 @@ class LieAlgebraElement:
     r: float
 
     def __init__(self, k, r: float):
-        k = np.asarray(k, dtype=complex)
-        herm_err = np.max(np.abs(k - dag(k)))
-        if herm_err > 1e-10 * (1.0 + np.linalg.norm(k)):
-            raise ValueError(f"K must be Hermitian: ||K - K*|| = {herm_err:.3e}")
-        k = k.copy()
-        k.setflags(write=False)
+        k, _ = frozen_operators("Lie algebra element", k, hermitian="K", herm_tol=1e-10)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "r", float(r))
 

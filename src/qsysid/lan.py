@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import tangent_gram
+from .covariance import default_phi, tangent_gram
 from .gaussian import phase_matrix
 from .geometry import TangentVector, e_map
 from .lindblad import (
@@ -32,7 +32,7 @@ from .lindblad import (
     require_ergodic,
     stationary_state,
 )
-from .opspace import devectorize, expm, vectorize
+from .opspace import dag, expm
 
 HORIZONTAL_TOL = 1e-8
 
@@ -116,11 +116,6 @@ class LanReport:
     max_abs_error: float
 
 
-def _default_phi(D: DynamicalParams) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(require_ergodic(D).stationary)
-    return vecs[:, int(np.argmax(vals))]
-
-
 def finite_overlap(chart: LocalChart, u, u2, t: float, phi=None) -> complex:
     """<Psi_{u/sqrt(t)}(t) | Psi_{u'/sqrt(t)}(t)> = <phi| e^{t W_{D,D'}}(id) |phi>."""
     if t <= 0:
@@ -129,7 +124,7 @@ def finite_overlap(chart: LocalChart, u, u2, t: float, phi=None) -> complex:
     D1 = chart.at_checked(s * np.asarray(u, dtype=float), t)
     D2 = chart.at_checked(s * np.asarray(u2, dtype=float), t)
     if phi is None:
-        phi = _default_phi(chart.base)
+        phi = default_phi(chart.base)
     phi = np.asarray(phi, dtype=complex)
     phi = phi / np.linalg.norm(phi)
     W12 = offdiag_generator(D1, D2)
@@ -166,7 +161,7 @@ def lan_convergence(chart: LocalChart, u, u2, t_values, phi=None) -> LanReport:
     """Scan finite-time overlaps over a t-grid against the Gaussian limit."""
     t_values = tuple(float(t) for t in t_values)
     if phi is None:
-        phi = _default_phi(chart.base)
+        phi = default_phi(chart.base)
     limit = limit_overlap(chart, u, u2)
     finite = tuple(finite_overlap(chart, u, u2, t, phi) for t in t_values)
     errors = tuple(abs(f - limit) for f in finite)
@@ -198,13 +193,8 @@ def output_overlap_trace(D1: DynamicalParams, D2: DynamicalParams, t: float) -> 
     rep2 = require_ergodic(D2)
     lam1, U1 = np.linalg.eigh(rep1.stationary)
     lam2, U2 = np.linalg.eigh(rep2.stationary)
-    Et = expm(offdiag_generator(D1, D2), t)
-    d = D1.dim
-    total = 0.0
-    for m in range(d):
-        for mp in range(d):
-            X = np.outer(U1[:, m], U2[:, mp].conj())
-            Z = devectorize(Et.matrix @ vectorize(X), d)
-            G = U1.conj().T @ Z @ U2  # entry (n, n') = <e_{1,n}| Z |e_{2,n'}>
-            total += float(np.sum(np.outer(lam1, lam2) * np.abs(G) ** 2))
-    return total
+    # column m' d + m of B is vec(|e_{1,m}><e_{2,m'}|), and row n' d + n of
+    # B^H vec(Z) is <e_{1,n}| Z |e_{2,n'}>
+    B = np.kron(U2.conj(), U1)
+    T = dag(B) @ expm(offdiag_generator(D1, D2), t).matrix @ B
+    return float(np.kron(lam2, lam1) @ np.sum(np.abs(T) ** 2, axis=1))

@@ -25,11 +25,11 @@ from .opspace import (
     dag,
     devectorize,
     expm,
+    frozen_operators,
     left_right_superop,
     vectorize,
 )
 
-HERMITICITY_TOL = 1e-12
 RANK_TOL_SCALE = 1e-9
 FULL_RANK_TOL = 1e-10
 CENTERED_TOL = 1e-10
@@ -53,25 +53,7 @@ class DynamicalParams:
     ls: tuple
 
     def __init__(self, h, ls):
-        h = np.asarray(h, dtype=complex)
-        ls = tuple(np.asarray(L, dtype=complex) for L in ls)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"H must be square, got shape {h.shape}")
-        d = h.shape[0]
-        for i, L in enumerate(ls):
-            if L.shape != (d, d):
-                raise ValueError(f"jump operator {i} has shape {L.shape}, expected {(d, d)}")
-        mats = (h,) + ls
-        if not all(np.all(np.isfinite(m)) for m in mats):
-            raise ValueError("non-finite entries in dynamical parameters")
-        herm_err = np.max(np.abs(h - dag(h)))
-        if herm_err > HERMITICITY_TOL * (1.0 + np.linalg.norm(h)):
-            raise ValueError(f"H is not Hermitian: ||H - H*|| = {herm_err:.3e}")
-        h = h.copy()
-        h.setflags(write=False)
-        ls = tuple(L.copy() for L in ls)
-        for L in ls:
-            L.setflags(write=False)
+        h, ls = frozen_operators("dynamical parameters", h, ls, hermitian="H")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "ls", ls)
 

@@ -28,6 +28,28 @@ def _as_square(X) -> np.ndarray:
     return X
 
 
+def frozen_operators(label: str, head, tail=(), *, hermitian: str | None = None, herm_tol: float = 1e-12):
+    """Read-only complex copies of the components (head, *tail) of an operator container.
+
+    Every component must be a finite square matrix of the same shape; when
+    hermitian names the head, ||head - head*|| may not exceed
+    herm_tol (1 + ||head||).  Errors name the container by label.
+    """
+    mats = [np.array(X, dtype=complex) for X in (head, *tail)]
+    shapes = [X.shape for X in mats]
+    if mats[0].ndim != 2 or shapes[0][0] != shapes[0][1] or any(s != shapes[0] for s in shapes):
+        raise ValueError(f"{label}: components must be square matrices of equal dimension, got shapes {shapes}")
+    if not all(np.all(np.isfinite(X)) for X in mats):
+        raise ValueError(f"{label}: non-finite entries")
+    if hermitian is not None:
+        err = np.max(np.abs(mats[0] - dag(mats[0])))
+        if err > herm_tol * (1.0 + np.linalg.norm(mats[0])):
+            raise ValueError(f"{hermitian} is not Hermitian: ||{hermitian} - {hermitian}*|| = {err:.3e}")
+    for X in mats:
+        X.setflags(write=False)
+    return mats[0], tuple(mats[1:])
+
+
 def dag(X) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(X).conj().T

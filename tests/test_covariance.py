@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import qsysid.lindblad
@@ -55,6 +56,55 @@ def kernel_tuple(D, rep, rng):
         W(K) + r * np.eye(D.dim),
         [1j * (L @ K - K @ L) for L in D.ls],
     )
+
+
+def centred_tuple(rng, D, rep, k):
+    X0 = random_matrix(rng, D.dim)
+    X0 -= np.trace(rep.stationary @ X0) * np.eye(D.dim)
+    return OperatorTuple(X0, [random_matrix(rng, D.dim) for _ in range(k)])
+
+
+def simpson_covariance(D, X, Y, t, phi, N=4000):
+    """<F_t(X)* F_t(Y)> by composite Simpson over N steps of the semigroup.
+
+    The step propagator exp(hW) and its integral J_h come from one block
+    exponential; the semigroup and integrated-semigroup values at the nodes
+    are accumulated from them, and every outer integral is Simpson.
+    """
+    d, n = D.dim, D.dim**2
+    blk = np.zeros((2 * n, 2 * n), dtype=complex)
+    blk[:n, :n] = heisenberg_generator(D).matrix
+    blk[:n, n:] = np.eye(n)
+    step = scipy.linalg.expm((t / N) * blk)
+    M, Q = step[:n, :n], step[:n, n:]
+    weights = np.ones(N + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= t / (3.0 * N)
+    # <phi| Z |phi> = a^H vec(Z); rows[j] = a^H T_{s_j} and cum[j] = a^H J_{s_j}
+    a = np.outer(phi, phi.conj()).reshape(-1, order="F")
+    rows = np.empty((N + 1, n), dtype=complex)
+    cum = np.zeros((N + 1, n), dtype=complex)
+    rows[0] = a.conj()
+    for j in range(N):
+        cum[j + 1] = cum[j] + rows[j] @ Q
+        rows[j + 1] = rows[j] @ M
+
+    def cross(U, V0):
+        # int_0^t <phi| J_{t-s}( Phi_U( T_s(V0) ) ) |phi> ds
+        v = np.empty((N + 1, n), dtype=complex)
+        v[0] = V0.reshape(-1, order="F")
+        for j in range(N):
+            v[j + 1] = M @ v[j]
+        B = v.reshape(N + 1, d, d).transpose(0, 2, 1)
+        PB = U.x0.conj().T @ B
+        for Ui, L in zip(U.xs, D.ls):
+            PB = PB - 1j * Ui.conj().T @ (B @ L - L @ B)
+        return weights @ np.sum(cum[::-1] * PB.transpose(0, 2, 1).reshape(N + 1, n), axis=1)
+
+    ito = sum(Xi.conj().T @ Yi for Xi, Yi in zip(X.xs, Y.xs))
+    total = weights @ (rows @ ito.reshape(-1, order="F"))
+    return (total + cross(X, Y.x0) + np.conj(cross(Y, X.x0))) / t
 
 
 class TestCentering:
@@ -274,7 +324,7 @@ class TestFiniteTimeCovariance:
         X = OperatorTuple(np.zeros((2, 2)), [L])
         limit = markov_covariance(D, X, X)
         t = 200.0 / rep.spectral_gap
-        val = finite_time_covariance(D, X, X, t, 400)
+        val = finite_time_covariance(D, X, X, t)
         assert abs(val - limit) < 0.01
 
     def test_monotone_error_decay(self, preset_point):
@@ -283,7 +333,7 @@ class TestFiniteTimeCovariance:
         X = x_map(D, dD)
         limit = markov_covariance(D, X, X)
         errs = [
-            abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap, 400) - limit)
+            abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap) - limit)
             for tg in (25, 50, 100)
         ]
         assert errs[2] < errs[1] < errs[0]
@@ -296,7 +346,7 @@ class TestFiniteTimeCovariance:
         X = OperatorTuple(X0, [random_matrix(rng, 2)])
         limit = markov_covariance(D, X, X)
         errs = [
-            abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap, 400) - limit)
+            abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap) - limit)
             for tg in (50, 200)
         ]
         assert errs[1] < 0.02 * abs(limit)
@@ -307,7 +357,7 @@ class TestFiniteTimeCovariance:
         raw = kernel_tuple(D, rep, rng)
         X = OperatorTuple(centering(D, raw.x0), raw.xs)
         vals = [
-            abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap, 300))
+            abs(finite_time_covariance(D, X, X, tg / rep.spectral_gap))
             for tg in (25, 100)
         ]
         assert abs(markov_covariance(D, X, X)) < 1e-9
@@ -320,13 +370,45 @@ class TestFiniteTimeCovariance:
         vals = []
         for _ in range(3):
             phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-            vals.append(finite_time_covariance(D, X, X, t, 300, phi=phi))
+            vals.append(finite_time_covariance(D, X, X, t, phi=phi))
         assert np.max(np.abs(np.diff(vals))) < 1e-2
 
     def test_validation(self, preset_point):
         _, D, _ = preset_point
         X = OperatorTuple(np.zeros((2, 2)), [D.ls[0]])
-        with pytest.raises(ValueError, match="quad_steps"):
-            finite_time_covariance(D, X, X, 10.0, 3)
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t > 0"):
+                finite_time_covariance(D, X, X, t)
         with pytest.raises(ValueError, match="centred"):
-            finite_time_covariance(D, OperatorTuple(I2, [D.ls[0]]), X, 10.0, 50)
+            finite_time_covariance(D, OperatorTuple(I2, [D.ls[0]]), X, 10.0)
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_resolved_simpson(self, d, k):
+        D, rep = random_ergodic(rng, d, k)
+        X, Y = centred_tuple(rng, D, rep, k), centred_tuple(rng, D, rep, k)
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi /= np.linalg.norm(phi)
+        t = min(2.0, 2.0 / rep.spectral_gap)
+        exact = finite_time_covariance(D, X, Y, t, phi=phi)
+        assert abs(exact - simpson_covariance(D, X, Y, t, phi)) < 1e-9 * abs(exact)
+
+    @pytest.mark.parametrize("d, k", [(3, 1), (4, 2)])
+    def test_swap_conjugates(self, d, k):
+        # nonzero X^0 and Y^0: both cross terms contribute
+        D, rep = random_ergodic(rng, d, k)
+        X, Y = centred_tuple(rng, D, rep, k), centred_tuple(rng, D, rep, k)
+        for tg in (0.5, 20.0):
+            t = tg / rep.spectral_gap
+            fxy = finite_time_covariance(D, X, Y, t)
+            assert abs(fxy - np.conj(finite_time_covariance(D, Y, X, t))) < 1e-12 * abs(fxy)
+
+    def test_error_is_exactly_one_over_t(self, preset_point):
+        _, D2, rep2 = preset_point
+        for D, rep in ((D2, rep2), random_ergodic(rng, 4, 1)):
+            X = centred_tuple(rng, D, rep, D.n_channels)
+            limit = markov_covariance(D, X, X)
+            ts = np.array([50.0, 100.0, 200.0]) / rep.spectral_gap
+            scaled = [t * abs(finite_time_covariance(D, X, X, t) - limit) for t in ts]
+            assert scaled[0] > 1e-6 * abs(limit)
+            assert_allclose(scaled, scaled[0], rtol=1e-6)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qsysid import DynamicalParams, LieAlgebraElement, OperatorTuple, TangentVector
 from qsysid.opspace import (
     Superoperator,
     devectorize,
@@ -14,7 +15,7 @@ from qsysid.opspace import (
     vectorize,
 )
 
-from conftest import E01, I2, SZ, random_matrix
+from conftest import E01, I2, SZ, random_hermitian, random_matrix
 
 rng = np.random.default_rng(101)
 
@@ -136,3 +137,49 @@ class TestEig:
         S = Superoperator(2, random_matrix(rng, 4))
         for lam, V in eig(S):
             assert np.linalg.norm(S(V) - lam * V) < 1e-10 * (1 + S.norm())
+
+
+# (constructor from head and tail operators, attribute of the head, head Hermitian?)
+CONTAINERS = [
+    (DynamicalParams, "h", True),
+    (TangentVector, "dh", True),
+    (OperatorTuple, "x0", False),
+    (lambda head, tail: LieAlgebraElement(head, 0.5), "k", True),
+]
+
+
+@pytest.mark.parametrize("make, head_attr, hermitian", CONTAINERS)
+class TestFrozenContainers:
+    def test_read_only_copy(self, make, head_attr, hermitian):
+        head = random_hermitian(rng, 3)
+        stored = getattr(make(head, [random_matrix(rng, 3)]), head_attr)
+        assert_allclose(stored, head)
+        head[0, 0] += 1.0
+        assert stored[0, 0] != head[0, 0]
+        assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, make, head_attr, hermitian, bad):
+        head, tail = random_hermitian(rng, 2), random_matrix(rng, 2)
+        head[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make(head, [tail])
+        if head_attr != "k":  # a Lie algebra element has no tail
+            tail[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                make(random_hermitian(rng, 2), [tail])
+
+    def test_rejects_non_square_or_unequal_shapes(self, make, head_attr, hermitian):
+        with pytest.raises(ValueError, match="square"):
+            make(np.zeros((2, 3)), [])
+        if head_attr != "k":
+            with pytest.raises(ValueError, match="square"):
+                make(random_hermitian(rng, 2), [random_matrix(rng, 3)])
+
+    def test_hermitian_head(self, make, head_attr, hermitian):
+        head = random_matrix(rng, 2)
+        if hermitian:
+            with pytest.raises(ValueError, match="Hermitian"):
+                make(head, [random_matrix(rng, 2)])
+        else:
+            assert_allclose(getattr(make(head, [random_matrix(rng, 2)]), head_attr), head)
