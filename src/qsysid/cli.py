@@ -16,10 +16,13 @@ The config selects a command and a model::
       "options": {"convention": "metric"}
     }
 
-Models are given either by preset name ("two-level", "phase", "coupling",
-"hamiltonian") with parameters, or by explicit matrices
-{"matrices": {"h": ..., "ls": [...]}} with complex entries encoded as
-[re, im] pairs; matrices in reports use the same encoding, row-major.
+Models are given either by preset name ("two-level", or "phase", "coupling",
+"hamiltonian" with base matrices "h" and "l" under "params") or by explicit
+matrices {"matrices": {"h": ..., "ls": [...]}}.  Matrices are row-major; an
+entry is a number or an [re, im] pair, mixed freely within one matrix.  Each
+matrix is decoded once, at parse time, so a malformed one (a preset's "h" and
+"l" too) is a config error.  Reports write every matrix, echoed or computed,
+with [re, im] float pairs as entries.
 Commands: info, qfi, decompose, connection, symplectic, lan-check,
 equiv-check, cov-converge, output-overlap.  equiv-check and output-overlap
 need a second model under "model2".  t grids are in units of 1/gap.
@@ -53,17 +56,6 @@ from .lan import LocalChart, lan_convergence, output_overlap_trace
 from .lindblad import DynamicalParams, NonErgodicError, require_ergodic, stationary_state
 from .opspace import dag
 
-COMMANDS = (
-    "info",
-    "qfi",
-    "decompose",
-    "connection",
-    "symplectic",
-    "lan-check",
-    "equiv-check",
-    "cov-converge",
-    "output-overlap",
-)
 _NEEDS_CONVENTION = ("qfi", "lan-check")
 _NEEDS_MODEL2 = ("equiv-check", "output-overlap")
 
@@ -83,12 +75,12 @@ def encode_complex(z: complex):
 
 
 def encode_matrix(M) -> list:
-    M = np.asarray(M)
-    return [[encode_complex(z) for z in row] for row in M]
+    M = np.asarray(M, dtype=complex)
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def encode_real_matrix(M) -> list:
-    return [[float(x) for x in row] for row in np.asarray(M).real]
+    return np.asarray(M).real.astype(float).tolist()
 
 
 def decode_complex(obj, where: str) -> complex:
@@ -103,10 +95,23 @@ def decode_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ConfigError(f"{where}: expected a nested array")
     rows = [[decode_complex(z, f"{where}[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(obj)]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{where}: rows of unequal length {[len(row) for row in rows]}")
     M = np.array(rows, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{where}: matrix must be square, got shape {M.shape}")
     return M
+
+
+def _encode_arrays(obj):
+    """A copy of a config tree with every decoded matrix encoded back."""
+    if isinstance(obj, np.ndarray):
+        return encode_matrix(obj)
+    if isinstance(obj, dict):
+        return {key: _encode_arrays(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_arrays(val) for val in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +120,9 @@ def decode_matrix(obj, where: str) -> np.ndarray:
 
 @dataclass
 class JobConfig:
+    """A validated job; every matrix in it (models, a preset's base h and l,
+    explicit tangents) is a decoded complex array."""
+
     command: str
     model: dict
     model2: dict | None = None
@@ -130,12 +138,18 @@ def _validate_model(source, where: str) -> dict:
     if has_preset == has_matrices:
         raise ConfigError(f"{where}: give exactly one of 'preset' or 'matrices'")
     if has_preset:
-        if source["preset"] not in _models.PRESET_NAMES:
-            raise ConfigError(f"{where}.preset: unknown preset {source['preset']!r}")
+        name = source["preset"]
+        if name not in _models.PRESET_NAMES:
+            raise ConfigError(f"{where}.preset: unknown preset {name!r}")
         params = source.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{where}.params: expected an object")
-        return {"preset": source["preset"], "params": params}
+        if name != "two-level":
+            # the one-parameter presets need a base (h, l)
+            if "h" not in params or "l" not in params:
+                raise ConfigError(f"{where}.params: preset {name!r} needs base matrices 'h' and 'l'")
+            params = {**params, **{key: decode_matrix(params[key], f"{where}.params.{key}") for key in ("h", "l")}}
+        return {"preset": name, "params": params}
     mats = source["matrices"]
     if not isinstance(mats, dict) or "h" not in mats or "ls" not in mats:
         raise ConfigError(f"{where}.matrices: expected an object with 'h' and 'ls'")
@@ -146,15 +160,23 @@ def _validate_model(source, where: str) -> dict:
     ls = [decode_matrix(L, f"{where}.matrices.ls[{i}]") for i, L in enumerate(mats["ls"])]
     if any(L.shape != h.shape for L in ls):
         raise ConfigError(f"{where}.matrices.ls: dimensions do not match h")
-    return {"matrices": {"h": encode_matrix(h), "ls": [encode_matrix(L) for L in ls]}}
+    return {"matrices": {"h": h, "ls": ls}}
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
 def parse_config(text: str) -> JobConfig:
     """Parse and validate a JSON job description."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
+    return _job_from_raw(_load_json(text))
+
+
+def _job_from_raw(raw) -> JobConfig:
+    """Validate a decoded JSON job description, decoding each matrix once."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
     unknown = set(raw) - {"command", "model", "model2", "tangents", "options"}
@@ -185,7 +207,7 @@ def parse_config(text: str) -> JobConfig:
                 raise ConfigError(f"tangents[{i}]: expected an object with 'dh' and 'dls'")
             dh = decode_matrix(tv["dh"], f"tangents[{i}].dh")
             dls = [decode_matrix(L, f"tangents[{i}].dls[{j}]") for j, L in enumerate(tv["dls"])]
-            parsed.append({"dh": encode_matrix(dh), "dls": [encode_matrix(L) for L in dls]})
+            parsed.append({"dh": dh, "dls": dls})
         tangents = parsed
     else:
         raise ConfigError("tangents: expected a set name or a list of tangent objects")
@@ -214,12 +236,13 @@ def parse_config(text: str) -> JobConfig:
 
 
 def job_to_dict(job: JobConfig) -> dict:
+    """The job as JSON-ready data, every matrix encoded as [re, im] pairs."""
     out = {"command": job.command, "model": job.model}
     if job.model2 is not None:
         out["model2"] = job.model2
     out["tangents"] = job.tangents
     out["options"] = job.options
-    return out
+    return _encode_arrays(out)
 
 
 # ---------------------------------------------------------------------------
@@ -236,215 +259,199 @@ def _two_level_params(params: dict) -> _models.TwoLevelParams:
     )
 
 
-def _realise_model(source: dict, where: str) -> DynamicalParams:
+def _realise_model(source: dict):
+    """The dynamics of a validated model, and its one-parameter preset record (or None)."""
     if "matrices" in source:
-        h = decode_matrix(source["matrices"]["h"], f"{where}.matrices.h")
-        ls = [decode_matrix(L, f"{where}.matrices.ls[{i}]") for i, L in enumerate(source["matrices"]["ls"])]
-        return DynamicalParams(h, ls)
+        return DynamicalParams(source["matrices"]["h"], source["matrices"]["ls"]), None
     name = source["preset"]
     params = source["params"]
     if name == "two-level":
-        return _models.two_level(_two_level_params(params))
-    # one-parameter presets need a base (h, l)
-    if "h" not in params or "l" not in params:
-        raise ConfigError(f"{where}.params: preset {name!r} needs base matrices 'h' and 'l'")
-    h = decode_matrix(params["h"], f"{where}.params.h")
-    ell = decode_matrix(params["l"], f"{where}.params.l")
-    record = {m.name: m for m in _models.one_param_presets(h, ell)}[name]
-    return record.family(float(params.get("value", 1.0 if name != "phase" else 0.0)))
+        return _models.two_level(_two_level_params(params)), None
+    record = {m.name: m for m in _models.one_param_presets(params["h"], params["l"])}[name]
+    return record.family(float(params.get("value", 1.0 if name != "phase" else 0.0))), record
 
 
-def _realise_tangents(job: JobConfig, D: DynamicalParams):
+def _realise(job: JobConfig, with_tangents: bool):
+    """D for job.model and, when with_tangents, the tangents and their labels (else None, None)."""
+    D, record = _realise_model(job.model)
+    if not with_tangents:
+        return D, None, None
     if isinstance(job.tangents, list):
-        out = []
-        for i, tv in enumerate(job.tangents):
-            dh = decode_matrix(tv["dh"], f"tangents[{i}].dh")
-            dls = [decode_matrix(L, f"tangents[{i}].dls[{j}]") for j, L in enumerate(tv["dls"])]
-            out.append(TangentVector(dh, dls))
-        labels = [f"tangent_{i}" for i in range(len(out))]
-        return out, labels
-    if "preset" in job.model and job.model["preset"] == "two-level":
-        v = tuple(job.model["params"].get("v", (0.0, 0.0, 0.0)))
-        if any(float(x) != 0.0 for x in v):
+        tangents = [TangentVector(tv["dh"], tv["dls"]) for tv in job.tangents]
+        return D, tangents, [f"tangent_{i}" for i in range(len(tangents))]
+    if job.model.get("preset") == "two-level":
+        p = _two_level_params(job.model["params"])
+        if any(p.v):
             # the named sets are the closed forms of the v = 0 submanifold
             raise ConfigError(
                 "tangents: named tangent sets require v = 0; pass explicit tangents"
             )
-        tans = _models.two_level_tangents(_two_level_params(job.model["params"]))
-        group = getattr(tans, job.tangents)
+        tans = _models.two_level_tangents(p)
         labels = {
             "physical": ["delta", "omega", "alpha", "theta"],
             "vertical": ["rot_x", "rot_y", "rot_z", "phase"],
             "auxiliary": ["aux_0", "aux_1", "aux_2", "aux_3"],
         }[job.tangents]
-        return list(group), labels
-    if "preset" in job.model and job.model["preset"] in ("phase", "coupling", "hamiltonian"):
-        params = job.model["params"]
-        h = decode_matrix(params["h"], "model.params.h")
-        ell = decode_matrix(params["l"], "model.params.l")
-        record = {m.name: m for m in _models.one_param_presets(h, ell)}[job.model["preset"]]
-        return [record.tangent], [record.name]
+        return D, list(getattr(tans, job.tangents)), labels
+    if record is not None:
+        return D, [record.tangent], [record.name]
     raise ConfigError(f"tangents: named set {job.tangents!r} needs a preset model with tangent sets")
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: handler(job, D, tangents, labels, opts) -> result
 # ---------------------------------------------------------------------------
 
-def _effective_options(job: JobConfig) -> dict:
-    # tol = None means "module defaults" (residual checks 1e-10, equivalence
-    # detection 1e-8-scaled); an explicit value overrides where applicable
-    eff = {
-        "tol": None,
-        "t_grid": list(DEFAULT_T_GRID),
-        "format": "json",
-        "out": None,
+def _t_grid(D: DynamicalParams, opts: dict) -> dict:
+    """The report's t grid: multiples of 1/gap, and the times they stand for."""
+    grid = [float(tg) for tg in opts["t_grid"]]
+    gap = require_ergodic(D).spectral_gap
+    return {"t_grid_gap_units": grid, "t_values": [tg / gap for tg in grid]}
+
+
+def _info(job, D, tangents, labels, opts) -> dict:
+    if opts["tol"] is not None:
+        rep = stationary_state(D, rank_tol_scale=float(opts["tol"]))
+    else:
+        rep = stationary_state(D)
+    return {
+        "ergodic": rep.ergodic,
+        "stationary": encode_matrix(rep.stationary) if rep.stationary is not None else None,
+        "zero_eigen_count": rep.zero_eigen_count,
+        "min_stationary_eigenvalue": rep.min_stationary_eigenvalue,
+        "spectral_gap": rep.spectral_gap,
     }
-    eff.update(job.options)
-    return eff
 
 
-def _tangent_to_json(dD: TangentVector) -> dict:
-    return {"dh": encode_matrix(dD.dh), "dls": [encode_matrix(L) for L in dD.dls]}
+def _qfi(job, D, tangents, labels, opts) -> dict:
+    qfi = qfi_rate(D, tangents, opts["convention"])
+    return {
+        "convention": qfi.convention,
+        "labels": labels,
+        "matrix": encode_real_matrix(qfi.matrix),
+    }
+
+
+def _components(job, D, tangents, labels, opts) -> dict:
+    """decompose and connection: the connection form, and for decompose the horizontal part."""
+    entries = []
+    for label, dD in zip(labels, tangents):
+        om = connection_form(D, dD)
+        entry = {"label": label, "k": encode_matrix(om.k), "r": om.r}
+        if job.command == "decompose":
+            hor = horizontal_projection(D, dD)
+            entry["horizontal"] = _encode_arrays({"dh": hor.dh, "dls": hor.dls})
+            entry["residual_e_norm"] = float(np.max(np.abs(e_map(D, hor))))
+        entries.append(entry)
+    return {"components": entries}
+
+
+def _symplectic(job, D, tangents, labels, opts) -> dict:
+    if job.tangents == "physical" and job.model.get("preset") == "two-level":
+        # default spanning set: the canonical basis of the physical span
+        tangents = _models.two_level_symplectic_basis(_two_level_params(job.model["params"]))
+        labels = ["q1", "p1", "q2", "p2"]
+    convention = opts.get("convention", "metric")
+    model = symplectic_basis(
+        D, tangents, convention, complete_with_j=bool(opts.get("complete_with_j", False))
+    )
+    return {
+        "convention": model.convention,
+        "dim_id": model.dim_id,
+        "labels": labels,
+        "f": encode_real_matrix(model.f),
+        "sigma": encode_real_matrix(model.sigma),
+        "change_of_basis_cond": model.change_of_basis_cond,
+        "basis": _encode_arrays([{"dh": v.dh, "dls": v.dls} for v in model.basis]),
+    }
+
+
+def _lan_check(job, D, tangents, labels, opts) -> dict:
+    grid = _t_grid(D, opts)
+    chart = LocalChart(D, [horizontal_projection(D, dD) for dD in tangents])
+    m = chart.n_params
+    u = np.asarray(opts.get("u", [1.0] + [0.0] * (m - 1)), dtype=float)
+    u2 = np.asarray(opts.get("u_prime", [0.0] * m), dtype=float)
+    lan = lan_convergence(chart, u, u2, grid["t_values"])
+    return {
+        "convention": opts["convention"],
+        "labels": labels,
+        "u": u.tolist(),
+        "u_prime": u2.tolist(),
+        **grid,
+        "finite_overlaps": [encode_complex(z) for z in lan.finite_overlaps],
+        "limit_value": encode_complex(lan.limit_value),
+        "errors": list(lan.errors),
+        "max_abs_error": lan.max_abs_error,
+        "phase_matrix": encode_real_matrix(lan.phase_matrix_used),
+    }
+
+
+def _equiv_check(job, D, tangents, labels, opts) -> dict:
+    D2, _ = _realise_model(job.model2)
+    if opts["tol"] is not None:
+        wit = find_gauge_equivalence(D, D2, eq_tol_scale=float(opts["tol"]))
+    else:
+        wit = find_gauge_equivalence(D, D2)
+    return {
+        "found": wit.found,
+        "w": encode_matrix(wit.w) if wit.w is not None else None,
+        "r": wit.r,
+        "eigen_real_part": wit.eigen_real_part,
+    }
+
+
+def _cov_converge(job, D, tangents, labels, opts) -> dict:
+    grid = _t_grid(D, opts)
+    series = []
+    for label, dD in zip(labels, tangents):
+        raw = x_map(D, dD)
+        # the fluctuation integral is defined with the centred first
+        # component, and centring leaves the limit covariance unchanged
+        X = OperatorTuple(centering(D, raw.x0), raw.xs)
+        limit = markov_covariance(D, X, X)
+        finites = [finite_time_covariance(D, X, X, t) for t in grid["t_values"]]
+        series.append(
+            {
+                "label": label,
+                "limit": encode_complex(limit),
+                "finite": [encode_complex(z) for z in finites],
+                "errors": [abs(z - limit) for z in finites],
+            }
+        )
+    return {**grid, "series": series}
+
+
+def _output_overlap(job, D, tangents, labels, opts) -> dict:
+    D2, _ = _realise_model(job.model2)
+    grid = _t_grid(D, opts)
+    return {**grid, "values": [output_overlap_trace(D, D2, t) for t in grid["t_values"]]}
+
+
+# command name -> (handler, whether it takes tangents)
+_HANDLERS = {
+    "info": (_info, False),
+    "qfi": (_qfi, True),
+    "decompose": (_components, True),
+    "connection": (_components, True),
+    "symplectic": (_symplectic, True),
+    "lan-check": (_lan_check, True),
+    "equiv-check": (_equiv_check, False),
+    "cov-converge": (_cov_converge, True),
+    "output-overlap": (_output_overlap, False),
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(job: JobConfig) -> dict:
     """Execute a validated job and return the report document."""
-    opts = _effective_options(job)
-    D = _realise_model(job.model, "model")
-    result: dict = {}
-
-    if job.command == "info":
-        if opts["tol"] is not None:
-            rep = stationary_state(D, rank_tol_scale=float(opts["tol"]))
-        else:
-            rep = stationary_state(D)
-        result = {
-            "ergodic": rep.ergodic,
-            "stationary": encode_matrix(rep.stationary) if rep.stationary is not None else None,
-            "zero_eigen_count": rep.zero_eigen_count,
-            "min_stationary_eigenvalue": rep.min_stationary_eigenvalue,
-            "spectral_gap": rep.spectral_gap,
-        }
-
-    elif job.command == "qfi":
-        tangents, labels = _realise_tangents(job, D)
-        qfi = qfi_rate(D, tangents, opts["convention"])
-        result = {
-            "convention": qfi.convention,
-            "labels": labels,
-            "matrix": encode_real_matrix(qfi.matrix),
-        }
-
-    elif job.command in ("decompose", "connection"):
-        tangents, labels = _realise_tangents(job, D)
-        entries = []
-        for label, dD in zip(labels, tangents):
-            om = connection_form(D, dD)
-            entry = {"label": label, "k": encode_matrix(om.k), "r": om.r}
-            if job.command == "decompose":
-                hor = horizontal_projection(D, dD)
-                entry["horizontal"] = _tangent_to_json(hor)
-                entry["residual_e_norm"] = float(np.max(np.abs(e_map(D, hor))))
-            entries.append(entry)
-        result = {"components": entries}
-
-    elif job.command == "symplectic":
-        tangents, labels = _realise_tangents(job, D)
-        if (
-            isinstance(job.tangents, str)
-            and job.tangents == "physical"
-            and job.model.get("preset") == "two-level"
-        ):
-            # default spanning set: the canonical basis of the physical span
-            tangents = _models.two_level_symplectic_basis(_two_level_params(job.model["params"]))
-            labels = ["q1", "p1", "q2", "p2"]
-        convention = opts.get("convention", "metric")
-        model = symplectic_basis(
-            D, tangents, convention, complete_with_j=bool(opts.get("complete_with_j", False))
-        )
-        result = {
-            "convention": model.convention,
-            "dim_id": model.dim_id,
-            "labels": labels,
-            "f": encode_real_matrix(model.f),
-            "sigma": encode_real_matrix(model.sigma),
-            "change_of_basis_cond": model.change_of_basis_cond,
-            "basis": [_tangent_to_json(v) for v in model.basis],
-        }
-
-    elif job.command == "lan-check":
-        tangents, labels = _realise_tangents(job, D)
-        rep = require_ergodic(D)
-        dirs = [horizontal_projection(D, dD) for dD in tangents]
-        chart = LocalChart(D, dirs)
-        m = chart.n_params
-        u = np.asarray(opts.get("u", [1.0] + [0.0] * (m - 1)), dtype=float)
-        u2 = np.asarray(opts.get("u_prime", [0.0] * m), dtype=float)
-        t_values = [tg / rep.spectral_gap for tg in opts["t_grid"]]
-        lan = lan_convergence(chart, u, u2, t_values)
-        result = {
-            "convention": opts["convention"],
-            "labels": labels,
-            "u": u.tolist(),
-            "u_prime": u2.tolist(),
-            "t_grid_gap_units": [float(tg) for tg in opts["t_grid"]],
-            "t_values": list(lan.t_values),
-            "finite_overlaps": [encode_complex(z) for z in lan.finite_overlaps],
-            "limit_value": encode_complex(lan.limit_value),
-            "errors": list(lan.errors),
-            "max_abs_error": lan.max_abs_error,
-            "phase_matrix": encode_real_matrix(lan.phase_matrix_used),
-        }
-
-    elif job.command == "equiv-check":
-        D2 = _realise_model(job.model2, "model2")
-        if opts["tol"] is not None:
-            wit = find_gauge_equivalence(D, D2, eq_tol_scale=float(opts["tol"]))
-        else:
-            wit = find_gauge_equivalence(D, D2)
-        result = {
-            "found": wit.found,
-            "w": encode_matrix(wit.w) if wit.w is not None else None,
-            "r": wit.r,
-            "eigen_real_part": wit.eigen_real_part,
-        }
-
-    elif job.command == "cov-converge":
-        tangents, labels = _realise_tangents(job, D)
-        rep = require_ergodic(D)
-        t_values = [tg / rep.spectral_gap for tg in opts["t_grid"]]
-        series = []
-        for label, dD in zip(labels, tangents):
-            raw = x_map(D, dD)
-            # the fluctuation integral is defined with the centred first
-            # component, and centring leaves the limit covariance unchanged
-            X = OperatorTuple(centering(D, raw.x0), raw.xs)
-            limit = markov_covariance(D, X, X)
-            finites = [finite_time_covariance(D, X, X, t) for t in t_values]
-            series.append(
-                {
-                    "label": label,
-                    "limit": encode_complex(limit),
-                    "finite": [encode_complex(z) for z in finites],
-                    "errors": [abs(z - limit) for z in finites],
-                }
-            )
-        result = {"t_grid_gap_units": [float(tg) for tg in opts["t_grid"]], "t_values": t_values, "series": series}
-
-    elif job.command == "output-overlap":
-        D2 = _realise_model(job.model2, "model2")
-        rep = require_ergodic(D)
-        t_values = [tg / rep.spectral_gap for tg in opts["t_grid"]]
-        values = [output_overlap_trace(D, D2, t) for t in t_values]
-        result = {
-            "t_grid_gap_units": [float(tg) for tg in opts["t_grid"]],
-            "t_values": t_values,
-            "values": values,
-        }
-
+    # tol = None means "module defaults" (residual checks 1e-10, equivalence
+    # detection 1e-8-scaled); an explicit value overrides where applicable
+    opts = {"tol": None, "t_grid": list(DEFAULT_T_GRID), "format": "json", "out": None, **job.options}
+    handler, with_tangents = _HANDLERS[job.command]
+    result = handler(job, *_realise(job, with_tangents), opts)
     echo = job_to_dict(job)
-    echo["options"] = {k: v for k, v in opts.items()}
+    echo["options"] = opts
     return {"effective_config": echo, "command": job.command, "result": result}
 
 
@@ -488,8 +495,10 @@ def format_report(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _error_object(module: str, message: str, context: dict) -> str:
-    return json.dumps({"module": module, "message": message, "context": context})
+def _fail(module: str, exc: Exception, context: dict, code: int) -> int:
+    """Write the error object {"module", "message", "context"} to stderr; return the exit code."""
+    sys.stderr.write(json.dumps({"module": module, "message": str(exc), "context": context}) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
@@ -514,10 +523,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config: {exc}") from exc
         # flag overrides are merged into the raw options before validation,
         # so e.g. --convention can satisfy a command that requires one
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
+        raw = _load_json(text)
         if isinstance(raw, dict):
             options = raw.setdefault("options", {})
             if isinstance(options, dict):
@@ -536,29 +542,20 @@ def main(argv=None) -> int:
                     options["format"] = args.format
                 if args.out is not None:
                     options["out"] = args.out
-        job = parse_config(json.dumps(raw))
+        job = _job_from_raw(raw)
         context["command"] = job.command
-    except ConfigError as exc:
-        sys.stderr.write(_error_object("cli", str(exc), context) + "\n")
-        return 2
-
-    try:
         report = run(job)
     except ConfigError as exc:
-        sys.stderr.write(_error_object("cli", str(exc), context) + "\n")
-        return 2
+        return _fail("cli", exc, context, 2)
     except NonErgodicError as exc:
-        sys.stderr.write(_error_object("lindblad", str(exc), context) + "\n")
-        return 3
+        return _fail("lindblad", exc, context, 3)
     except ValueError as exc:
         module = exc.__class__.__module__.rsplit(".", 1)[-1]
-        sys.stderr.write(_error_object(module if module != "builtins" else "qsysid", str(exc), context) + "\n")
-        return 3
+        return _fail(module if module != "builtins" else "qsysid", exc, context, 3)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(_error_object("numerics", str(exc), context) + "\n")
-        return 4
+        return _fail("numerics", exc, context, 4)
 
-    opts = _effective_options(job)
+    opts = report["effective_config"]["options"]
     text = format_report(report, opts["format"])
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8") as fh:

@@ -94,10 +94,12 @@ class LocalChart:
         return DynamicalParams(h, ls)
 
     def at_checked(self, u, t: float) -> DynamicalParams:
-        """Evaluate at u and insist on ergodicity, naming the offending point."""
+        """Evaluate at u and insist on ergodicity, naming the offending point;
+        u = 0 gives the base point, diagnosed when the chart was built."""
         D = self.at(u)
-        rep = stationary_state(D)
-        if not rep.ergodic:
+        if not np.any(u):
+            return self.base
+        if not stationary_state(D).ergodic:
             raise NonErgodicError(
                 f"chart point u = {np.asarray(u)} (t = {t}) left the ergodic region"
             )

@@ -1,11 +1,39 @@
 import json
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qsysid.cli import ConfigError, format_report, job_to_dict, main, parse_config, run
+import qsysid.models
+from qsysid.cli import COMMANDS, ConfigError, format_report, job_to_dict, main, parse_config, run
 
 TWO_LEVEL = {"preset": "two-level", "params": {"alpha": 1.0, "delta": 0.0, "omega": 1.0, "theta": 0.0}}
+# base (h, l) of the one-parameter presets, with mixed number / [re, im] entries
+ONE_PARAM_BASE = {"h": [[0, [0.5, 0]], [[0.5, 0], 0]], "l": [[0, [1, 0]], [0, 0]]}
+EXPLICIT_QFI = {
+    "command": "qfi",
+    "model": {"matrices": {"h": ONE_PARAM_BASE["h"], "ls": [ONE_PARAM_BASE["l"]]}},
+    "tangents": [{"dh": [[0, 0], [0, 0]], "dls": [[[0, [1, 0]], [0, 0]]]}],
+    "options": {"convention": "metric"},
+}
+# one config per command, as the tests below run them (overrides of make_config)
+COMMAND_CONFIGS = {
+    "info": {},
+    "qfi": EXPLICIT_QFI,
+    "decompose": {"command": "decompose"},
+    "connection": {"command": "connection"},
+    "symplectic": {
+        "command": "symplectic",
+        "model": {"preset": "coupling", "params": ONE_PARAM_BASE},
+        "options": {"complete_with_j": True},
+    },
+    "lan-check": {"command": "lan-check", "options": {"convention": "metric", "t_grid": [20.0, 40.0]}},
+    "equiv-check": {"command": "equiv-check", "model2": TWO_LEVEL},
+    "cov-converge": {"command": "cov-converge", "options": {"t_grid": [10.0, 30.0], "quad_steps": 100}},
+    "output-overlap": {"command": "output-overlap", "model2": TWO_LEVEL, "options": {"t_grid": [1.0, 10.0]}},
+}
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 
 
 def make_config(**overrides):
@@ -50,11 +78,32 @@ class TestParseConfig:
             parse_config(make_config(options={"t_grid": [0.0]}))
 
     def test_roundtrip_stability(self):
-        text = make_config(command="qfi", options={"convention": "metric", "t_grid": [10.0, 20.0]})
-        job = parse_config(text)
-        once = json.dumps(job_to_dict(job))
-        twice = json.dumps(job_to_dict(parse_config(once)))
-        assert once == twice
+        assert set(COMMAND_CONFIGS) == set(COMMANDS)
+        for overrides in COMMAND_CONFIGS.values():
+            once = json.dumps(job_to_dict(parse_config(make_config(**overrides))))
+            twice = json.dumps(job_to_dict(parse_config(once)))
+            assert once == twice
+
+    @pytest.mark.parametrize("entry", ["1", [1.0, 2.0, 3.0]])
+    def test_malformed_entry_named(self, entry):
+        cfg = json.loads(make_config(**EXPLICIT_QFI))
+        tangent = cfg["tangents"][0]
+        cfg["tangents"] = [tangent, {"dh": tangent["dh"], "dls": [[[0, 0], [0, entry]]]}]
+        with pytest.raises(ConfigError, match=r"tangents\[1\]\.dls\[0\]\[1\]\[1\]"):
+            parse_config(json.dumps(cfg))
+
+    def test_ragged_matrix_is_config_error(self):
+        cfg = json.loads(make_config(**EXPLICIT_QFI))
+        cfg["tangents"][0]["dls"] = [[[0, 0], [0]]]
+        with pytest.raises(ConfigError, match=r"tangents\[0\]\.dls\[0\]: rows of unequal length"):
+            parse_config(json.dumps(cfg))
+
+    def test_preset_base_matrix_checked_at_parse(self):
+        model = {"preset": "phase", "params": {**ONE_PARAM_BASE, "h": [[0, "x"], [0, 0]]}}
+        with pytest.raises(ConfigError, match=r"model\.params\.h\[0\]\[1\]"):
+            parse_config(make_config(command="qfi", model=model, options={"convention": "metric"}))
+        with pytest.raises(ConfigError, match="needs base matrices"):
+            parse_config(make_config(model={"preset": "phase", "params": {"l": ONE_PARAM_BASE["l"]}}))
 
 
 class TestRun:
@@ -94,32 +143,26 @@ class TestRun:
         assert np.allclose(np.diagonal(f), [1 / 3, 3.0, 2 / 3, 1.5], atol=1e-10)
 
     def test_equiv_check(self):
-        job = parse_config(make_config(command="equiv-check", model2=dict(TWO_LEVEL)))
+        job = parse_config(make_config(**COMMAND_CONFIGS["equiv-check"]))
         res = run(job)["result"]
         assert res["found"] is True
         assert abs(res["r"]) < 1e-8
 
     def test_output_overlap_series(self):
-        job = parse_config(
-            make_config(command="output-overlap", model2=dict(TWO_LEVEL), options={"t_grid": [1.0, 10.0]})
-        )
+        job = parse_config(make_config(**COMMAND_CONFIGS["output-overlap"]))
         res = run(job)["result"]
         assert len(res["values"]) == 2
         assert res["values"][0] > res["values"][1] > 0.6
 
     def test_cov_converge_series(self):
-        job = parse_config(
-            make_config(command="cov-converge", options={"t_grid": [10.0, 30.0], "quad_steps": 100})
-        )
+        job = parse_config(make_config(**COMMAND_CONFIGS["cov-converge"]))
         res = run(job)["result"]
         alpha_series = res["series"][2]
         assert alpha_series["label"] == "alpha"
         assert alpha_series["errors"][1] < alpha_series["errors"][0]
 
     def test_lan_check(self):
-        job = parse_config(
-            make_config(command="lan-check", options={"convention": "metric", "t_grid": [20.0, 40.0]})
-        )
+        job = parse_config(make_config(**COMMAND_CONFIGS["lan-check"]))
         res = run(job)["result"]
         assert len(res["finite_overlaps"]) == 2
         assert res["errors"][1] < res["errors"][0]
@@ -131,12 +174,7 @@ class TestRun:
         assert a == b
 
     def test_symplectic_one_param_with_completion(self):
-        cfg = {
-            "command": "symplectic",
-            "model": {"preset": "coupling", "params": {"h": [[0, [0.5, 0]], [[0.5, 0], 0]], "l": [[0, [1, 0]], [0, 0]]}},
-            "options": {"complete_with_j": True},
-        }
-        res = run(parse_config(json.dumps(cfg)))["result"]
+        res = run(parse_config(make_config(**COMMAND_CONFIGS["symplectic"])))["result"]
         assert res["dim_id"] == 2
         assert np.allclose(res["sigma"], [[0, -1], [1, 0]], atol=1e-8)
 
@@ -147,14 +185,10 @@ class TestRun:
             run(job)
 
     def test_one_parameter_presets(self):
-        base = {
-            "h": [[0, [0.5, 0]], [[0.5, 0], 0]],
-            "l": [[0, [1, 0]], [0, 0]],
-        }
         for name, expected in (("coupling", 1 / 3), ("phase", None), ("hamiltonian", None)):
             cfg = {
                 "command": "qfi",
-                "model": {"preset": name, "params": dict(base)},
+                "model": {"preset": name, "params": dict(ONE_PARAM_BASE)},
                 "options": {"convention": "metric"},
             }
             res = run(parse_config(json.dumps(cfg)))["result"]
@@ -164,18 +198,19 @@ class TestRun:
             if expected is not None:
                 assert value == pytest.approx(expected, abs=1e-10)
 
+    def test_one_parameter_preset_realised_once(self):
+        cfg = {"command": "qfi", "model": {"preset": "phase", "params": ONE_PARAM_BASE}, "options": {"convention": "metric"}}
+        with mock.patch.object(
+            qsysid.models, "one_param_presets", wraps=qsysid.models.one_param_presets
+        ) as presets:
+            report = run(parse_config(json.dumps(cfg)))
+        assert presets.call_count == 1
+        assert report["result"]["labels"] == ["phase"]
+        # the base matrices are echoed as [re, im] float pairs
+        assert report["effective_config"]["model"]["params"]["h"] == [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
+
     def test_explicit_matrices_and_tangents(self):
-        cfg = {
-            "command": "qfi",
-            "model": {
-                "matrices": {
-                    "h": [[0, [0.5, 0]], [[0.5, 0], 0]],
-                    "ls": [[[0, [1, 0]], [0, 0]]],
-                }
-            },
-            "tangents": [{"dh": [[0, 0], [0, 0]], "dls": [[[0, [1, 0]], [0, 0]]]}],
-            "options": {"convention": "metric"},
-        }
+        cfg = dict(EXPLICIT_QFI)
         res = run(parse_config(json.dumps(cfg)))["result"]
         assert np.allclose(res["matrix"], [[1 / 3]], atol=1e-10)
         cfg["tangents"] = []
@@ -250,6 +285,12 @@ class TestMainAndFormats:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,row,col,value_re,value_im"
         assert any(line.startswith("matrix,") for line in lines)
+
+    @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda path: path.name)
+    def test_demo_config_runs(self, config, tmp_path):
+        out_path = tmp_path / "report.json"
+        assert main([str(config), "--out", str(out_path)]) == 0
+        assert "result" in json.loads(out_path.read_text())
 
     def test_csv_roundtrip_values(self):
         job = parse_config(make_config(command="qfi", options={"convention": "metric", "format": "csv"}))

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qsysid.lan
+import qsysid.lindblad
 from qsysid import (
     GaugeElement,
     GaussianLimitModel,
@@ -87,6 +91,10 @@ class TestLocalChart:
         Du = chart.at(u)
         expected_h = chart.base.h + sum(ua * d.dh for ua, d in zip(u, chart.directions))
         assert_allclose(Du.h, expected_h, atol=1e-13)
+
+    def test_base_point_not_rediagnosed(self, preset_chart):
+        chart, _ = preset_chart
+        assert chart.at_checked(np.zeros(chart.n_params), t=3.0) is chart.base
 
     def test_ergodicity_guard_names_point(self, preset_chart):
         chart, _ = preset_chart
@@ -174,6 +182,18 @@ class TestLanConvergence:
         assert report.errors[0] > report.errors[1] > report.errors[2] > report.errors[3]
         assert all(abs(z) <= 1 + 1e-9 for z in report.finite_overlaps)
         assert report.max_abs_error == report.errors[-1]
+
+    def test_one_diagnosis_per_t_point(self, preset_chart):
+        chart, rep = preset_chart
+        t_values = [tg / rep.spectral_gap for tg in (50, 100, 200, 400)]
+        with mock.patch.object(
+            qsysid.lan, "stationary_state", wraps=qsysid.lan.stationary_state
+        ) as chart_checks, mock.patch.object(
+            qsysid.lindblad, "stationary_state", wraps=qsysid.lindblad.stationary_state
+        ) as other_checks:
+            lan_convergence(chart, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4), t_values)
+        # u' = 0 is the base point, so only the u/sqrt(t) point is diagnosed
+        assert chart_checks.call_count + other_checks.call_count == len(t_values)
 
     def test_equal_points_all_errors_vanish(self, preset_chart):
         chart, rep = preset_chart
