@@ -13,6 +13,7 @@ import numpy as np
 
 from qsysid import (
     OperatorTuple,
+    TangentVector,
     TwoLevelParams,
     centering,
     finite_time_covariance,
@@ -22,7 +23,6 @@ from qsysid import (
     two_level,
     x_map,
 )
-from qsysid.geometry import TangentVector
 
 p = TwoLevelParams(alpha=1.0, delta=0.0, omega=1.0, theta=0.0)
 D = two_level(p)

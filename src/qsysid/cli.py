@@ -27,7 +27,8 @@ Commands: info, qfi, decompose, connection, symplectic, lan-check,
 equiv-check, cov-converge, output-overlap.  equiv-check and output-overlap
 need a second model under "model2".  t grids are in units of 1/gap.
 
-Exit codes: 0 success, 2 config error, 3 precondition violation (e.g.
+Exit codes: 0 success, 2 config error (an unreadable config or an
+unwritable --out path too), 3 precondition violation (e.g.
 non-ergodic dynamics), 4 numerical failure.  Errors go to stderr as a JSON
 object {"module", "message", "context"}.
 """
@@ -286,6 +287,9 @@ def _realise(job: JobConfig, with_tangents: bool):
             raise ConfigError(
                 "tangents: named tangent sets require v = 0; pass explicit tangents"
             )
+        if job.command == "symplectic" and job.tangents == "physical":
+            # default spanning set: the canonical basis of the physical span
+            return D, _models.two_level_symplectic_basis(p), ["q1", "p1", "q2", "p2"]
         tans = _models.two_level_tangents(p)
         labels = {
             "physical": ["delta", "omega", "alpha", "theta"],
@@ -347,10 +351,6 @@ def _components(job, D, tangents, labels, opts) -> dict:
 
 
 def _symplectic(job, D, tangents, labels, opts) -> dict:
-    if job.tangents == "physical" and job.model.get("preset") == "two-level":
-        # default spanning set: the canonical basis of the physical span
-        tangents = _models.two_level_symplectic_basis(_two_level_params(job.model["params"]))
-        labels = ["q1", "p1", "q2", "p2"]
     convention = opts.get("convention", "metric")
     model = symplectic_basis(
         D, tangents, convention, complete_with_j=bool(opts.get("complete_with_j", False))
@@ -545,6 +545,17 @@ def main(argv=None) -> int:
         job = _job_from_raw(raw)
         context["command"] = job.command
         report = run(job)
+        opts = report["effective_config"]["options"]
+        text = format_report(report, opts["format"]) + "\n"
+        if opts["out"]:
+            context["out"] = opts["out"]
+            try:
+                with open(opts["out"], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         return _fail("cli", exc, context, 2)
     except NonErgodicError as exc:
@@ -554,14 +565,6 @@ def main(argv=None) -> int:
         return _fail(module if module != "builtins" else "qsysid", exc, context, 3)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         return _fail("numerics", exc, context, 4)
-
-    opts = report["effective_config"]["options"]
-    text = format_report(report, opts["format"])
-    if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
     return 0
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import TangentVector, e_map
 from .lindblad import DynamicalParams, heisenberg_generator, require_ergodic, restricted_inverse
-from .opspace import dag, devectorize, frozen_operators, left_right_superop, vectorize
+from .opspace import apply, dag, devectorize, expm, frozen_operators, left_right_superop, vectorize
 
 CONVENTIONS = ("four_x", "metric")
 
@@ -86,7 +85,7 @@ def l_map(D: DynamicalParams, K) -> OperatorTuple:
     """The degenerate-direction map Lcal(K) = (W(K), i[L^1, K], ..., i[L^k, K])."""
     K = np.asarray(K, dtype=complex)
     W = heisenberg_generator(D)
-    return OperatorTuple(W(K), tuple(1j * (L @ K - K @ L) for L in D.ls))
+    return OperatorTuple(apply(W, K), tuple(1j * (L @ K - K @ L) for L in D.ls))
 
 
 def r_projection(D: DynamicalParams, X: OperatorTuple) -> OperatorTuple:
@@ -95,7 +94,7 @@ def r_projection(D: DynamicalParams, X: OperatorTuple) -> OperatorTuple:
     x0c = centering(D, X.x0)
     Z = restricted_inverse(D, x0c)
     return OperatorTuple(
-        x0c - W(Z),
+        x0c - apply(W, Z),
         tuple(Xi - 1j * (L @ Z - Z @ L) for Xi, L in zip(X.xs, D.ls)),
     )
 
@@ -217,7 +216,7 @@ def finite_time_covariance(
     phi = default_phi(D) if phi is None else np.asarray(phi, dtype=complex)
     phi = phi / np.linalg.norm(phi)
 
-    W = rep.generator.matrix
+    W = rep.generator
     n = d * d
     ident = np.eye(d, dtype=complex)
 
@@ -228,9 +227,9 @@ def finite_time_covariance(
         blk = np.zeros((3 * n, 3 * n), dtype=complex)
         blk[:n, n : 2 * n] = np.eye(n)
         blk[n : 2 * n, n : 2 * n] = W
-        blk[n : 2 * n, 2 * n :] = phi_u.matrix
+        blk[n : 2 * n, 2 * n :] = phi_u
         blk[2 * n :, 2 * n :] = W
-        E = scipy.linalg.expm(t * blk)
+        E = expm(blk, t)
         return E[:n, n : 2 * n], E[:n, 2 * n :]
 
     def expect(v: np.ndarray) -> complex:

@@ -56,15 +56,13 @@ class GaussianLimitModel:
     """Canonical data of the Gaussian limit on a spanned identifiable subspace.
 
     basis is ordered [q_1, p_1, q_2, p_2, ...]; f is the (diagonal) metric in
-    that basis in the stamped convention, sigma the symplectic form, s the
-    quadratic phase matrix of the chart (zero for linear charts).
+    that basis in the stamped convention, sigma the symplectic form.
     """
 
     dim_id: int
     basis: tuple
     f: np.ndarray
     sigma: np.ndarray
-    s: np.ndarray
     convention: str
     change_of_basis_cond: float = field(default=float("nan"))
 
@@ -141,7 +139,6 @@ def symplectic_basis(
             basis=tuple(spanning),
             f=f_out,
             sigma=Sig,
-            s=np.zeros((len(spanning), len(spanning))),
             convention=convention,
             change_of_basis_cond=1.0,
         )
@@ -195,7 +192,6 @@ def symplectic_basis(
         basis=tuple(basis),
         f=f_out,
         sigma=M.imag.copy(),
-        s=np.zeros((len(basis), len(basis))),
         convention=convention,
         change_of_basis_cond=cond,
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import DynamicalParams, offdiag_generator, require_ergodic, restricted_inverse
-from .opspace import dag, frozen_operators, im_part
+from .opspace import dag, devectorize, frozen_operators, im_part
 
 EQ_TOL_SCALE = 1e-8
 WITNESS_PROPORTIONALITY_TOL = 1e-6
@@ -261,8 +261,8 @@ def find_gauge_equivalence(
     require_ergodic(D)
     require_ergodic(D2)
     W12 = offdiag_generator(D, D2)
-    vals, vecs = np.linalg.eig(W12.matrix)
-    eq_tol = eq_tol_scale * (1.0 + np.linalg.norm(W12.matrix))
+    vals, vecs = np.linalg.eig(W12)
+    eq_tol = eq_tol_scale * (1.0 + np.linalg.norm(W12))
     max_re = float(np.max(vals.real))
 
     order = np.argsort(-vals.real)
@@ -270,7 +270,7 @@ def find_gauge_equivalence(
         lam = vals[idx]
         if abs(lam.real) >= eq_tol:
             break
-        F = vecs[:, idx].reshape(D.dim, D.dim, order="F")
+        F = devectorize(vecs[:, idx], D.dim)
         FdF = dag(F) @ F
         scale = np.trace(FdF).real / D.dim
         if scale <= 0 or np.max(np.abs(FdF - scale * np.eye(D.dim))) > WITNESS_PROPORTIONALITY_TOL * scale:

@@ -32,7 +32,7 @@ from .lindblad import (
     require_ergodic,
     stationary_state,
 )
-from .opspace import dag, expm
+from .opspace import apply, dag, expm
 
 HORIZONTAL_TOL = 1e-8
 
@@ -131,7 +131,7 @@ def finite_overlap(chart: LocalChart, u, u2, t: float, phi=None) -> complex:
     phi = phi / np.linalg.norm(phi)
     W12 = offdiag_generator(D1, D2)
     ident = np.eye(chart.base.dim, dtype=complex)
-    evolved = expm(W12, t)(ident)
+    evolved = apply(expm(W12, t), ident)
     return complex(phi.conj() @ evolved @ phi)
 
 
@@ -198,5 +198,5 @@ def output_overlap_trace(D1: DynamicalParams, D2: DynamicalParams, t: float) -> 
     # column m' d + m of B is vec(|e_{1,m}><e_{2,m'}|), and row n' d + n of
     # B^H vec(Z) is <e_{1,n}| Z |e_{2,n'}>
     B = np.kron(U2.conj(), U1)
-    T = dag(B) @ expm(offdiag_generator(D1, D2), t).matrix @ B
+    T = dag(B) @ expm(offdiag_generator(D1, D2), t) @ B
     return float(np.kron(lam2, lam1) @ np.sum(np.abs(T) ** 2, axis=1))

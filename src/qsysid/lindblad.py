@@ -20,15 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .opspace import (
-    Superoperator,
-    dag,
-    devectorize,
-    expm,
-    frozen_operators,
-    left_right_superop,
-    vectorize,
-)
+from .opspace import apply, dag, devectorize, expm, frozen_operators, left_right_superop, vectorize
 
 RANK_TOL_SCALE = 1e-9
 FULL_RANK_TOL = 1e-10
@@ -86,7 +78,7 @@ class DynamicalParams:
         # (Meyer, SIAM Review 17, 1975)
         n = self.dim**2
         border = np.zeros((n + 1, n + 1), dtype=complex)
-        border[:n, :n] = rep.generator.matrix
+        border[:n, :n] = rep.generator
         border[:n, n] = vectorize(np.eye(self.dim))
         border[n, :n] = vectorize(rep.stationary).conj()
         return replace(rep, bordered_lu=scipy.linalg.lu_factor(border))
@@ -96,9 +88,9 @@ class DynamicalParams:
 class ErgodicityReport:
     """Spectral diagnosis of a generator: unique full-rank fixed state or not.
 
-    generator is the W that was diagnosed.  bordered_lu, the LU factors of
-    [[W, vec(id)], [vec(rho_ss)^H, 0]], is set only on the report that
-    :func:`require_ergodic` returns.
+    generator is the W that was diagnosed, a read-only (d^2, d^2) array.
+    bordered_lu, the LU factors of [[W, vec(id)], [vec(rho_ss)^H, 0]], is
+    set only on the report that :func:`require_ergodic` returns.
     """
 
     ergodic: bool
@@ -106,28 +98,27 @@ class ErgodicityReport:
     zero_eigen_count: int
     min_stationary_eigenvalue: float
     spectral_gap: float
-    generator: Superoperator | None = field(default=None, repr=False)
+    generator: np.ndarray | None = field(default=None, repr=False)
     bordered_lu: tuple | None = field(default=None, repr=False)
 
 
-def heisenberg_generator(D: DynamicalParams) -> Superoperator:
+def heisenberg_generator(D: DynamicalParams) -> np.ndarray:
     """The Heisenberg-picture generator W as a d^2 x d^2 matrix."""
     return offdiag_generator(D, D)
 
 
-def schrodinger_generator(D: DynamicalParams) -> Superoperator:
+def schrodinger_generator(D: DynamicalParams) -> np.ndarray:
     """Trace-dual generator W_*, evolving states: W_*(rho) = -i[H, rho] + dissipator."""
-    d = D.dim
-    ident = np.eye(d, dtype=complex)
-    W = (-1j * (left_right_superop(D.h, ident) - left_right_superop(ident, D.h))).matrix
+    ident = np.eye(D.dim, dtype=complex)
+    W = -1j * (left_right_superop(D.h, ident) - left_right_superop(ident, D.h))
     for L in D.ls:
         ldl = dag(L) @ L
-        W = W + left_right_superop(L, dag(L)).matrix
-        W = W - 0.5 * (left_right_superop(ldl, ident) + left_right_superop(ident, ldl)).matrix
-    return Superoperator(d, W)
+        W = W + left_right_superop(L, dag(L))
+        W = W - 0.5 * (left_right_superop(ldl, ident) + left_right_superop(ident, ldl))
+    return W
 
 
-def offdiag_generator(D: DynamicalParams, D2: DynamicalParams) -> Superoperator:
+def offdiag_generator(D: DynamicalParams, D2: DynamicalParams) -> np.ndarray:
     """Two-parameter generator W_{D,D'}(X) = -i X H'_eff + i H_eff* X + sum_i L^i* X L'^i.
 
     Generates the contraction semigroup whose action on the identity gives
@@ -136,13 +127,12 @@ def offdiag_generator(D: DynamicalParams, D2: DynamicalParams) -> Superoperator:
     """
     if D.dim != D2.dim or D.n_channels != D2.n_channels:
         raise ValueError("off-diagonal generator needs equal dimensions and channel counts")
-    d = D.dim
-    ident = np.eye(d, dtype=complex)
-    W = (-1j * left_right_superop(ident, D2.effective_hamiltonian())).matrix
-    W = W + (1j * left_right_superop(dag(D.effective_hamiltonian()), ident)).matrix
+    ident = np.eye(D.dim, dtype=complex)
+    W = -1j * left_right_superop(ident, D2.effective_hamiltonian())
+    W = W + 1j * left_right_superop(dag(D.effective_hamiltonian()), ident)
     for L1, L2 in zip(D.ls, D2.ls):
-        W = W + left_right_superop(dag(L1), L2).matrix
-    return Superoperator(d, W)
+        W = W + left_right_superop(dag(L1), L2)
+    return W
 
 
 def stationary_state(D: DynamicalParams, rank_tol_scale: float = RANK_TOL_SCALE) -> ErgodicityReport:
@@ -156,9 +146,10 @@ def stationary_state(D: DynamicalParams, rank_tol_scale: float = RANK_TOL_SCALE)
     """
     d = D.dim
     W = heisenberg_generator(D)
+    W.setflags(write=False)
     # left eigenvectors of W are the eigenvectors of W_* = W^H
-    vals, left = scipy.linalg.eig(W.matrix, left=True, right=False)
-    rank_tol = rank_tol_scale * (1.0 + np.linalg.norm(W.matrix))
+    vals, left = scipy.linalg.eig(W, left=True, right=False)
+    rank_tol = rank_tol_scale * (1.0 + np.linalg.norm(W))
     near_zero = np.abs(vals) < rank_tol
     zero_count = int(np.count_nonzero(near_zero))
     nonzero = vals[~near_zero]
@@ -223,4 +214,4 @@ def semigroup_apply(D: DynamicalParams, t: float, X) -> np.ndarray:
     """Heisenberg evolution T_t(X) = exp(t W)(X)."""
     if t < 0:
         raise ValueError("semigroup_apply requires t >= 0")
-    return expm(heisenberg_generator(D), t)(X)
+    return apply(expm(heisenberg_generator(D), t), X)

@@ -1,22 +1,22 @@
 """Operator-space linear algebra kernel.
 
 Operators on the d-dimensional system are plain complex (d, d) ndarrays.
-Linear maps on operator space ("superoperators") are stored as dense
-(d^2, d^2) complex matrices acting on column-stacked operators, so that
+Linear maps on operator space ("superoperators"), such as the generators
+W and W_{D,D'}, are plain dense complex (d^2, d^2) ndarrays acting on
+column-stacked operators, so that
 
     vec(A X B) = (B^T kron A) vec(X).
+
+apply(S, X) evaluates S on an operator, and expm(S, t) is the library's
+one dense exponential.
 
 Everything here is dense; at desk scale (d <= 8, superoperators <= 64x64)
 there is nothing to gain from sparsity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.linalg
-
-DEFAULT_TOL = 1e-10
 
 
 def _as_square(X) -> np.ndarray:
@@ -81,96 +81,25 @@ def devectorize(v, dim: int | None = None) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt pairing tr[A* B]; conjugate-linear in A."""
-    A = _as_square(A)
-    B = _as_square(B)
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return complex(np.trace(dag(A) @ B))
+def apply(S, X) -> np.ndarray:
+    """The superoperator S applied to the operator X: devectorize(S vec(X))."""
+    return devectorize(S @ vectorize(X))
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """A linear map on (d, d) matrices, stored as a (d^2, d^2) matrix."""
-
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim**2, self.dim**2):
-            raise ValueError(f"superoperator matrix has shape {m.shape}, expected {(self.dim**2,) * 2}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("superoperator has non-finite entries")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Superoperator":
-        return cls(dim, np.eye(dim**2, dtype=complex))
-
-    @classmethod
-    def zero(cls, dim: int) -> "Superoperator":
-        return cls(dim, np.zeros((dim**2, dim**2), dtype=complex))
-
-    def __call__(self, X) -> np.ndarray:
-        """Apply the map to an operator."""
-        return devectorize(self.matrix @ vectorize(X), self.dim)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in composition")
-        return Superoperator(self.dim, self.matrix @ other.matrix)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator(self.dim, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator(self.dim, self.matrix - other.matrix)
-
-    def __rmul__(self, c: complex) -> "Superoperator":
-        return Superoperator(self.dim, c * self.matrix)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-def left_right_superop(A, B) -> Superoperator:
+def left_right_superop(A, B) -> np.ndarray:
     """The map X -> A X B as a superoperator."""
     A = _as_square(A)
     B = _as_square(B)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return Superoperator(A.shape[0], np.kron(B.T, A))
+    return np.kron(B.T, A)
 
 
-def expm(S: Superoperator, t: float) -> Superoperator:
+def expm(S, t: float) -> np.ndarray:
     """exp(t S), computed by scaling-and-squaring Pade (dense)."""
     if t < 0:
         raise ValueError("expm requires t >= 0")
-    return Superoperator(S.dim, scipy.linalg.expm(t * S.matrix))
-
-
-def eig(S: Superoperator, residual_tol: float = DEFAULT_TOL):
-    """Eigenvalues and eigenmatrices of a (generally non-normal) superoperator.
-
-    Returns a list of (eigenvalue, eigenmatrix) pairs with eigenmatrices
-    normalised to unit Hilbert-Schmidt norm. Residuals ||S(V) - lam V|| are
-    checked against residual_tol * (1 + ||S||); failures indicate that the
-    dense eigensolver did not converge for this matrix.
-    """
-    vals, vecs = scipy.linalg.eig(S.matrix)
-    scale = 1.0 + np.linalg.norm(S.matrix)
-    out = []
-    for k in range(vals.size):
-        v = vecs[:, k]
-        resid = np.linalg.norm(S.matrix @ v - vals[k] * v)
-        if resid > residual_tol * scale:
-            raise ArithmeticError(
-                f"eigenpair {k} residual {resid:.3e} exceeds {residual_tol * scale:.3e}"
-            )
-        out.append((complex(vals[k]), devectorize(v / np.linalg.norm(v), S.dim)))
-    return out
+    E = scipy.linalg.expm(t * S)
+    if not np.all(np.isfinite(E)):
+        raise ValueError("superoperator has non-finite entries")
+    return E

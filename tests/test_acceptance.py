@@ -47,6 +47,7 @@ from qsysid import (
 )
 from qsysid.geometry import _hermitian_traceless_basis
 from qsysid.models import TwoLevelParams
+from qsysid.opspace import apply
 
 from conftest import (
     random_ergodic,
@@ -195,7 +196,7 @@ def test_criterion_05_projection_algebra(criterion):
             K = random_matrix(rng, d)
             r = complex(rng.normal(), rng.normal())
             ker = OperatorTuple(
-                heisenberg_generator(D)(K) + r * np.eye(d),
+                apply(heisenberg_generator(D), K) + r * np.eye(d),
                 [1j * (L @ K - K @ L) for L in D.ls],
             )
             assert r_projection(D, ker).norm() < 1e-9 * (1 + ker.norm())
@@ -227,7 +228,7 @@ def test_criterion_06_ito_correction_of_gauge_directions(criterion):
             D, rep = random_ergodic(rng, d, k)
             X = LieAlgebraElement.with_zero_mean(random_hermitian(rng, d), rng.normal(), rep.stationary)
             lhs = e_map(D, lie_pushforward(D, X))
-            rhs = X.r * np.eye(d) + heisenberg_generator(D)(X.k)
+            rhs = X.r * np.eye(d) + apply(heisenberg_generator(D), X.k)
             assert np.max(np.abs(lhs - rhs)) < 1e-10 * (1 + np.linalg.norm(rhs))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qsysid.models
+from qsysid import symplectic_basis
 from qsysid.cli import COMMANDS, ConfigError, format_report, job_to_dict, main, parse_config, run
 
 TWO_LEVEL = {"preset": "two-level", "params": {"alpha": 1.0, "delta": 0.0, "omega": 1.0, "theta": 0.0}}
@@ -209,6 +210,21 @@ class TestRun:
         # the base matrices are echoed as [re, im] float pairs
         assert report["effective_config"]["model"]["params"]["h"] == [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]
 
+    def test_symplectic_default_builds_no_physical_tangents(self):
+        # the two-level default is the canonical basis; the physical set is not built
+        with mock.patch.object(
+            qsysid.models, "two_level_tangents", wraps=qsysid.models.two_level_tangents
+        ) as tangents:
+            report = run(parse_config(make_config(command="symplectic")))
+        assert tangents.call_count == 0
+        assert report["effective_config"]["tangents"] == "physical"
+        res = report["result"]
+        assert res["labels"] == ["q1", "p1", "q2", "p2"]
+        p = qsysid.models.TwoLevelParams(**TWO_LEVEL["params"])
+        model = symplectic_basis(qsysid.models.two_level(p), qsysid.models.two_level_symplectic_basis(p), "metric")
+        assert np.array_equal(res["f"], model.f)
+        assert np.array_equal(res["sigma"], model.sigma)
+
     def test_explicit_matrices_and_tangents(self):
         cfg = dict(EXPLICIT_QFI)
         res = run(parse_config(json.dumps(cfg)))["result"]
@@ -285,6 +301,16 @@ class TestMainAndFormats:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,row,col,value_re,value_im"
         assert any(line.startswith("matrix,") for line in lines)
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(make_config())
+        out_path = tmp_path / "missing" / "report.json"
+        assert main([str(path), "--out", str(out_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["module"] == "cli"
+        assert err["context"]["out"] == str(out_path)
+        assert str(out_path) in err["message"]
 
     @pytest.mark.parametrize("config", DEMO_CONFIGS, ids=lambda path: path.name)
     def test_demo_config_runs(self, config, tmp_path):

@@ -29,6 +29,7 @@ from qsysid import (
     two_level_tangents,
     x_map,
 )
+from qsysid.opspace import apply
 
 from conftest import (
     E11,
@@ -53,7 +54,7 @@ def kernel_tuple(D, rep, rng):
     r = complex(rng.normal(), rng.normal())
     W = heisenberg_generator(D)
     return OperatorTuple(
-        W(K) + r * np.eye(D.dim),
+        apply(W, K) + r * np.eye(D.dim),
         [1j * (L @ K - K @ L) for L in D.ls],
     )
 
@@ -73,7 +74,7 @@ def simpson_covariance(D, X, Y, t, phi, N=4000):
     """
     d, n = D.dim, D.dim**2
     blk = np.zeros((2 * n, 2 * n), dtype=complex)
-    blk[:n, :n] = heisenberg_generator(D).matrix
+    blk[:n, :n] = heisenberg_generator(D)
     blk[:n, n:] = np.eye(n)
     step = scipy.linalg.expm((t / N) * blk)
     M, Q = step[:n, :n], step[:n, n:]
@@ -150,7 +151,7 @@ class TestMaps:
     def test_l_map_first_component(self):
         D, _ = random_ergodic(rng, 3, 2)
         K = random_matrix(rng, 3)
-        assert_allclose(l_map(D, K).x0, heisenberg_generator(D)(K), atol=1e-12)
+        assert_allclose(l_map(D, K).x0, apply(heisenberg_generator(D), K), atol=1e-12)
 
 
 class TestRProjection:

@@ -169,7 +169,7 @@ class TestCoherentOverlap:
         dummy = tuple(TangentVector(np.zeros((2, 2)), [np.zeros((2, 2))]) for _ in range(m))
         return GaussianLimitModel(
             dim_id=m, basis=dummy, f=np.asarray(f, float), sigma=np.asarray(sigma, float),
-            s=np.zeros((m, m)), convention="four_x",
+            convention="four_x",
         )
 
     def test_same_point(self):

@@ -22,6 +22,7 @@ from qsysid import (
     vertical_basis,
 )
 from qsysid.models import TwoLevelParams
+from qsysid.opspace import apply
 
 from conftest import (
     I2,
@@ -105,7 +106,7 @@ class TestLiePushforward:
             for _ in range(5):
                 X = LieAlgebraElement.with_zero_mean(random_hermitian(rng, d), rng.normal(), rep.stationary)
                 lhs = e_map(D, lie_pushforward(D, X))
-                assert np.max(np.abs(lhs - (X.r * np.eye(d) + W(X.k)))) < 1e-10
+                assert np.max(np.abs(lhs - (X.r * np.eye(d) + apply(W, X.k)))) < 1e-10
 
 
 class TestEMap:

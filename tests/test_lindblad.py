@@ -6,13 +6,13 @@ from qsysid import (
     DynamicalParams,
     NonErgodicError,
     heisenberg_generator,
-    hs_inner,
     restricted_inverse,
     schrodinger_generator,
     semigroup_apply,
     stationary_state,
 )
-from qsysid.opspace import expm
+from qsysid.lindblad import require_ergodic
+from qsysid.opspace import apply, expm
 
 from conftest import E01, I2, random_ergodic, random_hermitian, random_matrix
 
@@ -24,45 +24,45 @@ RHO_PRESET = np.array([[2 / 3, 1j / 3], [-1j / 3, 1 / 3]])
 class TestGenerators:
     def test_trivial_dynamics_is_zero(self):
         D = DynamicalParams(np.zeros((2, 2)), [np.zeros((2, 2))])
-        assert_allclose(heisenberg_generator(D).matrix, 0, atol=1e-15)
+        assert_allclose(heisenberg_generator(D), 0, atol=1e-15)
 
     def test_pure_hamiltonian_is_commutator(self):
         H = random_hermitian(rng, 3)
         D = DynamicalParams(H, [])
         X = random_matrix(rng, 3)
-        assert_allclose(heisenberg_generator(D)(X), 1j * (H @ X - X @ H), atol=1e-12)
+        assert_allclose(apply(heisenberg_generator(D), X), 1j * (H @ X - X @ H), atol=1e-12)
 
     def test_unitality(self):
         for d, k in [(2, 1), (3, 2)]:
             D = DynamicalParams(random_hermitian(rng, d), [random_matrix(rng, d) for _ in range(k)])
-            assert np.max(np.abs(heisenberg_generator(D)(np.eye(d)))) < 1e-12
+            assert np.max(np.abs(apply(heisenberg_generator(D), np.eye(d)))) < 1e-12
 
     def test_hermiticity_preserved(self):
         D, _ = random_ergodic(rng, 3, 2)
         X = random_hermitian(rng, 3)
-        WX = heisenberg_generator(D)(X)
+        WX = apply(heisenberg_generator(D), X)
         assert_allclose(WX, WX.conj().T, atol=1e-12)
 
     def test_preset_annihilates_closed_form_state(self, preset_point):
         _, D, _ = preset_point
-        assert np.max(np.abs(schrodinger_generator(D)(RHO_PRESET))) < 1e-12
+        assert np.max(np.abs(apply(schrodinger_generator(D), RHO_PRESET))) < 1e-12
 
     def test_duality(self):
         D, _ = random_ergodic(rng, 2, 1)
         W, Wstar = heisenberg_generator(D), schrodinger_generator(D)
         for _ in range(5):
             rho, X = random_matrix(rng, 2), random_matrix(rng, 2)
-            assert hs_inner(Wstar(rho), X) == pytest.approx(hs_inner(rho, W(X)), abs=1e-12)
-        assert_allclose(Wstar.matrix, W.matrix.conj().T, atol=1e-12)
+            assert np.vdot(apply(Wstar, rho), X) == pytest.approx(np.vdot(rho, apply(W, X)), abs=1e-12)
+        assert_allclose(Wstar, W.conj().T, atol=1e-12)
 
     def test_dual_of_zero_generator(self):
         D = DynamicalParams(np.zeros((2, 2)), [np.zeros((2, 2))])
-        assert_allclose(schrodinger_generator(D).matrix, 0, atol=1e-15)
+        assert_allclose(schrodinger_generator(D), 0, atol=1e-15)
 
     def test_trace_preservation(self):
         D, _ = random_ergodic(rng, 3, 1)
         rho = random_matrix(rng, 3)
-        assert abs(np.trace(schrodinger_generator(D)(rho))) < 1e-12
+        assert abs(np.trace(apply(schrodinger_generator(D), rho))) < 1e-12
 
     def test_rejects_non_hermitian_hamiltonian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -94,16 +94,25 @@ class TestStationaryState:
         for d, k in [(2, 1), (3, 2)]:
             D, rep = random_ergodic(rng, d, k)
             W = heisenberg_generator(D)
-            vals = np.linalg.eigvals(W.matrix)
-            tol = 1e-9 * (1 + np.linalg.norm(W.matrix))
+            vals = np.linalg.eigvals(W)
+            tol = 1e-9 * (1 + np.linalg.norm(W))
             near = np.abs(vals) < tol
             assert np.count_nonzero(near) == 1
             assert np.all(vals[~near].real < 0)
 
     def test_fixed_point_residual(self):
         D, rep = random_ergodic(rng, 3, 2)
-        assert np.max(np.abs(schrodinger_generator(D)(rep.stationary))) < 1e-10
+        assert np.max(np.abs(apply(schrodinger_generator(D), rep.stationary))) < 1e-10
         assert np.trace(rep.stationary) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cached_generator_is_read_only(self, preset_point):
+        _, D, _ = preset_point
+        W = require_ergodic(D).generator
+        assert isinstance(W, np.ndarray) and W.shape == (4, 4)
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+        assert_allclose(W, heisenberg_generator(D), atol=0)
 
 
 class TestRestrictedInverse:
@@ -112,7 +121,7 @@ class TestRestrictedInverse:
         W, rho = heisenberg_generator(D), rep.stationary
         K0 = random_matrix(rng, 2)
         K0 -= np.trace(rho @ K0) * I2
-        K = restricted_inverse(D, W(K0))
+        K = restricted_inverse(D, apply(W, K0))
         assert_allclose(K, K0, atol=1e-9)
 
     def test_zero_maps_to_zero(self):
@@ -121,7 +130,7 @@ class TestRestrictedInverse:
 
     def test_centering_constraint(self):
         D, rep = random_ergodic(rng, 2, 1)
-        X = heisenberg_generator(D)(random_matrix(rng, 2))
+        X = apply(heisenberg_generator(D), random_matrix(rng, 2))
         K = restricted_inverse(D, X)
         assert abs(np.trace(rep.stationary @ K)) < 1e-10
 
@@ -133,7 +142,7 @@ class TestRestrictedInverse:
     def test_stack_solves_each_operator(self):
         D, _ = random_ergodic(rng, 3, 2)
         W = heisenberg_generator(D)
-        X = np.stack([W(random_matrix(rng, 3)) for _ in range(4)]).reshape(2, 2, 3, 3)
+        X = np.stack([apply(W, random_matrix(rng, 3)) for _ in range(4)]).reshape(2, 2, 3, 3)
         K = restricted_inverse(D, X)
         assert K.shape == (2, 2, 3, 3)
         for i in range(2):
@@ -159,7 +168,7 @@ class TestRestrictedInverse:
         T = 50.0 / rep.spectral_gap
         n = 2000
         h = T / n
-        step = expm(W, h).matrix
+        step = expm(W, h)
         weights = np.ones(n + 1)
         weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
         weights *= h / 3.0
@@ -178,11 +187,11 @@ class TestDeskScale:
         D, rep = random_ergodic(rng, 8, 1, min_gap=0.01)
         assert rep.ergodic
         W = heisenberg_generator(D)
-        assert W.matrix.shape == (64, 64)
+        assert W.shape == (64, 64)
         X = random_matrix(rng, 8)
         X -= np.trace(rep.stationary @ X) * np.eye(8)
         K = restricted_inverse(D, X)
-        assert np.max(np.abs(W(K) - X)) < 1e-9 * (1 + np.linalg.norm(X))
+        assert np.max(np.abs(apply(W, K) - X)) < 1e-9 * (1 + np.linalg.norm(X))
         assert np.max(np.abs(semigroup_apply(D, 0.7, np.eye(8)) - np.eye(8))) < 1e-10
 
 
@@ -221,5 +230,5 @@ class TestSemigroup:
             rho = A @ A.conj().T
             rho /= np.trace(rho)
             t = float(rng.uniform(0, 10))
-            evolved = expm(Wstar, t)(rho)
+            evolved = apply(expm(Wstar, t), rho)
             assert np.min(np.linalg.eigvalsh(0.5 * (evolved + evolved.conj().T))) >= -1e-9
