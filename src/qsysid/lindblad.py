@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .opspace import apply, dag, devectorize, expm, frozen_operators, left_right_superop, vectorize
 
@@ -36,7 +35,7 @@ class DynamicalParams:
     """The dynamical parameter D = (H, L^1, ..., L^k).
 
     Instances are immutable (their arrays are read-only copies), so the
-    ergodicity diagnosis and the restricted-inverse factorisation are
+    ergodicity diagnosis and the group inverse of W are
     computed at most once per instance and shared by every function that
     needs them; see :func:`require_ergodic`.
     """
@@ -73,15 +72,15 @@ class DynamicalParams:
                 f"dynamics is not ergodic: {rep.zero_eigen_count} near-zero eigenvalues, "
                 f"min stationary eigenvalue {rep.min_stationary_eigenvalue:.3e}"
             )
-        # [[W, vec(id)], [vec(rho)^H, 0]] is nonsingular for ergodic W; its
-        # solve with right-hand side (X, 0) is the group inverse of W on B_0
-        # (Meyer, SIAM Review 17, 1975)
+        # [[W, vec(id)], [vec(rho)^H, 0]] is nonsingular for ergodic W, and since
+        # W(id) = 0, tr[rho W(.)] = 0 and tr rho = 1 the top-left (d^2, d^2)
+        # block of its inverse is the group inverse W^# (Meyer, SIAM Review 17, 1975)
         n = self.dim**2
         border = np.zeros((n + 1, n + 1), dtype=complex)
         border[:n, :n] = rep.generator
         border[:n, n] = vectorize(np.eye(self.dim))
         border[n, :n] = vectorize(rep.stationary).conj()
-        return replace(rep, bordered_lu=scipy.linalg.lu_factor(border))
+        return replace(rep, group_inverse=frozen_operators("group inverse", np.linalg.inv(border)[:n, :n])[0])
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,8 @@ class ErgodicityReport:
     """Spectral diagnosis of a generator: unique full-rank fixed state or not.
 
     generator is the W that was diagnosed, a read-only (d^2, d^2) array.
-    bordered_lu, the LU factors of [[W, vec(id)], [vec(rho_ss)^H, 0]], is
-    set only on the report that :func:`require_ergodic` returns.
+    group_inverse, the group inverse W^# as a read-only (d^2, d^2) array,
+    is set only on the report that :func:`require_ergodic` returns.
     """
 
     ergodic: bool
@@ -99,7 +98,7 @@ class ErgodicityReport:
     min_stationary_eigenvalue: float
     spectral_gap: float
     generator: np.ndarray | None = field(default=None, repr=False)
-    bordered_lu: tuple | None = field(default=None, repr=False)
+    group_inverse: np.ndarray | None = field(default=None, repr=False)
 
 
 def heisenberg_generator(D: DynamicalParams) -> np.ndarray:
@@ -147,8 +146,9 @@ def stationary_state(D: DynamicalParams, rank_tol_scale: float = RANK_TOL_SCALE)
     d = D.dim
     W = heisenberg_generator(D)
     W.setflags(write=False)
-    # left eigenvectors of W are the eigenvectors of W_* = W^H
-    vals, left = scipy.linalg.eig(W, left=True, right=False)
+    # left eigenvectors of W are the eigenvectors of W_* = W^H, whose eigenvalues are
+    # conjugate to those of W: equal in modulus and real part, all that is read below
+    vals, left = np.linalg.eig(dag(W))
     rank_tol = rank_tol_scale * (1.0 + np.linalg.norm(W))
     near_zero = np.abs(vals) < rank_tol
     zero_count = int(np.count_nonzero(near_zero))
@@ -179,7 +179,7 @@ def stationary_state(D: DynamicalParams, rank_tol_scale: float = RANK_TOL_SCALE)
 
 
 def require_ergodic(D: DynamicalParams) -> ErgodicityReport:
-    """The diagnosis of D, with its bordered factorisation, computed once per D.
+    """The diagnosis of D, with its group inverse, computed once per D.
 
     Raises NonErgodicError (on every call) when D is not ergodic.
     """
@@ -203,10 +203,9 @@ def restricted_inverse(D: DynamicalParams, X) -> np.ndarray:
     if np.any(np.abs(means) > scales):
         worst = np.max(np.abs(means))
         raise ValueError(f"input is not in B_0: tr[rho_ss X] = {worst:.3e}; centre it first")
-    # column-stacked vec(X) of every operator, as the columns of one right-hand side
+    # column-stacked vec(X) of every operator, as the columns of one product
     cols = np.swapaxes(X, -1, -2).reshape(-1, d * d).T
-    rhs = np.vstack([cols, np.zeros((1, cols.shape[1]))])
-    sol = scipy.linalg.lu_solve(rep.bordered_lu, rhs)[:-1]
+    sol = rep.group_inverse @ cols
     return np.swapaxes(sol.T.reshape(X.shape[:-2] + (d, d)), -1, -2)
 
 

@@ -2,7 +2,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 import qsysid.lindblad
@@ -72,11 +71,12 @@ def simpson_covariance(D, X, Y, t, phi, N=4000):
     exponential; the semigroup and integrated-semigroup values at the nodes
     are accumulated from them, and every outer integral is Simpson.
     """
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     d, n = D.dim, D.dim**2
     blk = np.zeros((2 * n, 2 * n), dtype=complex)
     blk[:n, :n] = heisenberg_generator(D)
     blk[:n, n:] = np.eye(n)
-    step = scipy.linalg.expm((t / N) * blk)
+    step = scipy_linalg.expm((t / N) * blk)
     M, Q = step[:n, :n], step[:n, n:]
     weights = np.ones(N + 1)
     weights[1:-1:2] = 4.0

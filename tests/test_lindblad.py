@@ -12,7 +12,7 @@ from qsysid import (
     stationary_state,
 )
 from qsysid.lindblad import require_ergodic
-from qsysid.opspace import apply, expm
+from qsysid.opspace import apply, expm, vectorize
 
 from conftest import E01, I2, random_ergodic, random_hermitian, random_matrix
 
@@ -155,6 +155,22 @@ class TestRestrictedInverse:
         D = DynamicalParams(random_hermitian(rng, 2), [])
         with pytest.raises(NonErgodicError):
             restricted_inverse(D, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_group_inverse(self, d):
+        D, _ = random_ergodic(np.random.default_rng(d), d, 1, min_gap=0.01)
+        rep = require_ergodic(D)
+        G, W, n = rep.group_inverse, rep.generator, d * d
+        assert G.shape == (n, n) and not G.flags.writeable
+        ident, rho = vectorize(np.eye(d)), vectorize(rep.stationary)
+        norm = lambda X: np.linalg.norm(X, 1)
+        assert norm(W @ G @ W - W) < 1e-12 * norm(W)
+        proj = np.eye(n) - np.outer(ident, rho.conj())  # I - |id><rho|
+        assert norm(G @ W - proj) < 1e-12
+        assert norm(W @ G - proj) < 1e-12
+        border = np.block([[W, ident[:, None]], [rho.conj()[None, :], np.zeros((1, 1))]])
+        fresh = np.linalg.solve(border, np.vstack([np.eye(n), np.zeros((1, n))]))[:n]
+        assert norm(G - fresh) < 1e-12 * norm(G)
 
     def test_agrees_with_semigroup_integral(self, preset_point):
         # -W^{-1}(X) equals the integrated semigroup int_0^T T_s(X) ds on B_0;

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ import qsysid.opspace
 from qsysid import DynamicalParams, LieAlgebraElement, OperatorTuple, TangentVector
 from qsysid.opspace import apply, devectorize, expm, left_right_superop, vectorize
 
-from conftest import E01, I2, SZ, random_hermitian, random_matrix
+from conftest import E01, I2, SZ, random_ergodic, random_hermitian, random_matrix
 
 rng = np.random.default_rng(101)
 
@@ -65,10 +70,10 @@ class TestLeftRight:
 class TestExpm:
     def test_time_zero(self):
         S = random_matrix(rng, 4)
-        assert_allclose(expm(S, 0.0), np.eye(4), atol=1e-14)
+        assert np.array_equal(expm(S, 0.0), np.eye(4))
 
     def test_zero_generator(self):
-        assert_allclose(expm(np.zeros((4, 4)), 3.7), np.eye(4), atol=1e-14)
+        assert np.array_equal(expm(np.zeros((4, 4)), 3.7), np.eye(4))
 
     def test_nilpotent_truncated_series(self):
         # (X -> E01 X E01) squares to zero, so the series stops at first order
@@ -98,6 +103,52 @@ class TestExpm:
         # exp(800) overflows to inf
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             expm(800.0 * np.eye(4), 1.0)
+
+    @pytest.mark.parametrize(
+        "S, t",
+        [
+            (800.0 * np.eye(4), 1.0),
+            (800.0 * np.eye(4) + random_matrix(rng, 4), 1.0),
+            (np.array([[-1.0, 1.0], [0.5, -0.5]]), 1e200),  # the powers of t S overflow
+        ],
+    )
+    def test_overflow_raises_without_warnings(self, S, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                expm(S, t)
+
+
+def _rel_err(E, ref):
+    return np.linalg.norm(E - ref, 1) / np.linalg.norm(ref, 1)
+
+
+class TestExpmOracle:
+    """expm against scipy.linalg.expm, where scipy is installed."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_generator_and_van_loan_block(self, d):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        D, rep = random_ergodic(np.random.default_rng(d), d, 1, min_gap=0.01)
+        W = rep.generator
+        n = d * d
+        # the block finite_time_covariance exponentiates: [[0, I, 0], [0, W, Phi], [0, 0, W]]
+        blk = np.zeros((3 * n, 3 * n), dtype=complex)
+        blk[:n, n : 2 * n] = np.eye(n)
+        blk[n : 2 * n, n : 2 * n] = blk[2 * n :, 2 * n :] = W
+        blk[n : 2 * n, 2 * n :] = left_right_superop(random_matrix(rng, d), D.ls[0])
+        for S in (W, blk):
+            for t_gap in (1.0, 50.0, 400.0):
+                t = t_gap / rep.spectral_gap
+                assert _rel_err(expm(S, t), scipy_linalg.expm(t * S)) < 1e-12
+
+    def test_random_matrices_up_to_norm_three(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for norm in np.geomspace(1e-8, 3.0, 12):
+            for n in (2, 5, 16):
+                S = random_matrix(rng, n)
+                S *= norm / np.linalg.norm(S, 1)
+                assert _rel_err(expm(S, 1.0), scipy_linalg.expm(S)) < 1e-14
 
 
 # (constructor from head and tail operators, attribute of the head, head Hermitian?)
@@ -147,6 +198,13 @@ class TestFrozenContainers:
 
 
 class TestPublicApi:
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(qsysid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, qsysid, qsysid.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_top_level_exports_paper_objects_only(self):
         kernel = {name for name in vars(qsysid.opspace) if not name.startswith("_")}
         for name in qsysid.__all__:
